@@ -10,6 +10,7 @@ gamma_blk <= gamma_std.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +18,13 @@ import numpy as np
 from .circuits import Circuit
 from .classify import classify_circuit
 from .conjugation import generator_images
-from .errors import GuardExceeded, InvalidArgument, Unsupported
+from .errors import GuardExceeded, InvalidArgument, SingularChannel, Unsupported
 from .gates import GateOp
 from .noise import (
+    _SINGULAR_TOL,
     NoiseSpec,
     ZMixtureChannel,
+    fwht,
     gamma_of,
     invert_z_mixture,
     make_dephasing,
@@ -38,14 +41,6 @@ def layer_distribution(g: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
     if spec is None or spec.is_noiseless():
         return ZMixtureChannel.identity(support)
     return invert_z_mixture(make_dephasing(spec, support))
-
-
-def gamma_std(c: Circuit) -> float:
-    """Per-gate sampling cost: the product of per-layer L1 norms."""
-    total = 1.0
-    for op, tag in zip(c.ops, c.noise_tags):
-        total *= gamma_of(layer_distribution(op, tag))
-    return total
 
 
 @dataclass(frozen=True)
@@ -80,19 +75,6 @@ def _support_mask(op: GateOp) -> int:
     return mask
 
 
-def _op_permutation(op: GateOp, n: int, masks: np.ndarray) -> np.ndarray | None:
-    """Image of every mask under conjugation through ``op``; None if the map
-    is the identity."""
-    imgs = generator_images(op, n)
-    if all(imgs[q] == 1 << q for q in op.qubits):
-        return None
-    perm = masks & ~_support_mask(op)
-    for q in op.qubits:
-        bit = (masks >> q) & 1
-        perm = perm ^ bit * imgs[q]
-    return perm
-
-
 def _global_masks(dist: ZMixtureChannel) -> np.ndarray:
     """Global Z-string mask of each local coefficient index."""
     out = np.zeros(len(dist.coeffs), dtype=np.int64)
@@ -101,62 +83,185 @@ def _global_masks(dist: ZMixtureChannel) -> np.ndarray:
     return out
 
 
-def _accumulate(c: Circuit, dist_of) -> np.ndarray:
-    """Forward accumulation: push the running mask distribution through each
-    op, then XOR-convolve with that op's own distribution.
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise GuardExceeded(f"{what} is {value}: the cost overflows float64")
+    return value
 
-    ``dist_of(op, tag)`` supplies the per-layer distribution (noise inverse
-    for block coefficients, forward noise for the effective channel).
+
+class _GateTables:
+    """What the engines need from each distinct gate and noise tag, derived
+    once per public call: local generator images per (kind, angle) and, per
+    (NoiseSpec, arity), the layer inverse with its gamma and the local Walsh
+    expansion of the noise's log-eigenvalues. Nothing outlives the call."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._images: dict = {}
+        self._layers: dict = {}
+        self._log_walsh: dict = {}
+
+    def local_images(self, op: GateOp) -> tuple[int, ...] | None:
+        """Local mask (bit b = op.qubits[b]) of the image of each generator
+        Z_{op.qubits[a]}; None when the gate maps every generator to itself.
+        Raises NotZClosed for a gate that leaves the Z-string group."""
+        key = (op.kind, op.angle)
+        if key not in self._images:
+            imgs = generator_images(op, self.n)
+            local = tuple(
+                sum(1 << b for b, qb in enumerate(op.qubits) if imgs[q] >> qb & 1)
+                for q in op.qubits
+            )
+            identity = all(m == 1 << a for a, m in enumerate(local))
+            self._images[key] = None if identity else local
+        return self._images[key]
+
+    def _layer(self, op: GateOp, spec: NoiseSpec | None) -> tuple[np.ndarray, float]:
+        key = (spec, op.arity)
+        if key not in self._layers:
+            dist = layer_distribution(op, spec)
+            self._layers[key] = (dist.coeffs, gamma_of(dist))
+        return self._layers[key]
+
+    def layer(self, op: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
+        """layer_distribution(op, spec)."""
+        coeffs, _ = self._layer(op, spec)
+        return ZMixtureChannel(tuple(sorted(op.qubits)), coeffs.copy())
+
+    def layer_gamma(self, op: GateOp, spec: NoiseSpec | None) -> float:
+        return self._layer(op, spec)[1]
+
+    def log_walsh(self, op: GateOp, spec: NoiseSpec | None) -> np.ndarray | None:
+        """g(u) = FWHT(log lambda)(u) / 2^m over the local strings u of the
+        op's noise (local bit i = i-th qubit of the sorted support), so that
+        log lambda(t) = sum_u g(u) (-1)^{|u & t|}; None when noiseless."""
+        if spec is None or spec.is_noiseless():
+            return None
+        key = (spec, op.arity)
+        if key not in self._log_walsh:
+            lam = make_dephasing(spec, range(op.arity)).eigenvalues()
+            if lam.min() < _SINGULAR_TOL:
+                raise SingularChannel(
+                    f"channel eigenvalue within {_SINGULAR_TOL} of zero; "
+                    "not invertible"
+                )
+            self._log_walsh[key] = fwht(np.log(lam)) / len(lam)
+        return self._log_walsh[key]
+
+
+def _xor_of(rows, local_mask: int) -> int:
+    out = 0
+    for b, row in enumerate(rows):
+        if local_mask >> b & 1:
+            out ^= row
+    return out
+
+
+def _span_basis(rows) -> list[int]:
+    """Reduced row-echelon basis of the GF(2) span of integer masks, in
+    ascending pivot (highest set bit) order. No basis row has another row's
+    pivot bit set, so a span element's coordinates are its pivot bits."""
+    basis: dict[int, int] = {}
+    for v in rows:
+        while v:
+            p = v.bit_length() - 1
+            if p not in basis:
+                basis[p] = v
+                break
+            v ^= basis[p]
+    pivots = sorted(basis)
+    for i, p in enumerate(pivots):
+        for q in pivots[i + 1 :]:
+            if basis[q] >> p & 1:
+                basis[q] ^= basis[p]
+    return [basis[p] for p in pivots]
+
+
+def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> np.ndarray:
+    """Dense 2^n coefficients of the block's effective noise (sign=+1) or of
+    its inverse (sign=-1), computed in the Walsh (eigenvalue) domain.
+
+    Walking the ops backward keeps pushed[q], the mask that Z_q at the
+    current point becomes at the block's end. A noisy op's channel, pushed to
+    the end, has log-eigenvalue sum_u g(u) (-1)^{|mask(u) & T|}, where
+    mask(u) is the XOR of pushed[q] over the qubits q of u. The composed
+    channel's log-eigenvalues are therefore the Walsh transform of the
+    histogram of g over those masks. Every mask lies in the GF(2) span of the
+    pushed rows, so the histogram and both transforms live on the 2^r
+    coordinates of that span (r <= the number of qubits the ops touch). The
+    result is scattered into the dense vector at the end, and masks outside
+    the span stay exactly 0.
     """
     if c.n > _DENSE_GUARD_QUBITS:
         raise GuardExceeded(
             f"dense 2^n coefficient vector refused for n={c.n} > "
             f"{_DENSE_GUARD_QUBITS}"
         )
-    size = 1 << c.n
-    masks = np.arange(size, dtype=np.int64)
-    vec = np.zeros(size)
-    vec[0] = 1.0
-    for op, tag in zip(c.ops, c.noise_tags):
-        perm = _op_permutation(op, c.n, masks)
-        if perm is not None:
-            moved = np.empty_like(vec)
-            moved[perm] = vec
-            vec = moved
-        dist = dist_of(op, tag)
-        gmasks = _global_masks(dist)
-        if len(gmasks) == 1 and gmasks[0] == 0:
-            continue
-        out = np.zeros(size)
-        for gmask, a in zip(gmasks, dist.coeffs):
-            if a != 0.0:
-                out += a * vec[masks ^ gmask]
-        vec = out
-    return vec
+    # Compile in circuit order so that the first offending op raises.
+    compiled = [
+        (tables.local_images(op), tables.log_walsh(op, tag))
+        for op, tag in zip(c.ops, c.noise_tags)
+    ]
+    pushed = [1 << q for q in range(c.n)]
+    rows_by_arity: dict[int, tuple[list, list]] = {}
+    for op, (images, g_hat) in zip(reversed(c.ops), reversed(compiled)):
+        if g_hat is not None:
+            rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
+            rows.append([pushed[q] for q in sorted(op.qubits)])
+            weights.append(g_hat)
+        if images is not None:
+            before = [pushed[q] for q in op.qubits]
+            for q, image in zip(op.qubits, images):
+                pushed[q] = _xor_of(before, image)
+    basis = _span_basis(
+        {mask for rows, _ in rows_by_arity.values() for row in rows for mask in row}
+    )
+    size = 1 << len(basis)
+    hist = np.zeros(size)
+    for m, (rows, weights) in sorted(rows_by_arity.items()):
+        rows = np.array(rows, dtype=np.int64)
+        coords = np.zeros_like(rows)
+        for j, b in enumerate(basis):
+            coords |= ((rows >> (b.bit_length() - 1)) & 1) << j
+        local = np.arange(1 << m)
+        index = np.zeros((len(rows), 1 << m), dtype=np.int64)
+        for i in range(m):
+            index ^= ((local >> i) & 1)[None, :] * coords[:, i : i + 1]
+        hist += np.bincount(
+            index.ravel(), weights=np.concatenate(weights), minlength=size
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = fwht(np.exp(sign * fwht(hist))) / size
+    if not np.isfinite(coeffs).all():
+        raise GuardExceeded("block coefficients overflow float64")
+    masks = np.zeros(1, dtype=np.int64)
+    for b in basis:
+        masks = np.concatenate([masks, masks ^ b])
+    out = np.zeros(1 << c.n)
+    out[masks] = coeffs
+    return out
 
 
 def block_coefficients(c: Circuit) -> BlockCoefficients:
     """Aggregated control-layer coefficients of a fully compatible block.
 
-    Cost is O(d * 2^n) vectorized ops; raises NotZClosed on incompatible
-    gates, SingularChannel on non-invertible noise, GuardExceeded for n > 20.
+    Computed in the Walsh domain (see ``_walsh_engine``): O(d) bookkeeping
+    over the ops plus two transforms of length 2^r, r <= the number of
+    qubits the ops touch. The result is still a dense 2^n vector, hence the
+    n <= 20 guard. Raises NotZClosed on incompatible gates, SingularChannel
+    on non-invertible noise, UnsupportedKind on impure noise, GuardExceeded
+    for n > 20 or for coefficients that overflow float64.
     """
-    return BlockCoefficients(c.n, _accumulate(c, layer_distribution))
+    return BlockCoefficients(c.n, _walsh_engine(c, _GateTables(c.n), -1.0))
 
 
 def effective_noise(c: Circuit) -> ZMixtureChannel:
     """All per-gate noise channels commuted to the end and composed: the
     single Z-mixture N_eff with (noisy circuit) = N_eff o (ideal circuit).
 
-    Inverting it reproduces block_coefficients; kept as an independent route
-    for cross-checking."""
-
-    def forward(op, tag):
-        if tag is None or tag.is_noiseless():
-            return ZMixtureChannel.identity(tuple(sorted(op.qubits)))
-        return make_dephasing(tag, tuple(sorted(op.qubits)))
-
-    return ZMixtureChannel(tuple(range(c.n)), _accumulate(c, forward))
+    The same Walsh-domain computation as block_coefficients, with the
+    log-eigenvalues taken positive instead of negated."""
+    return ZMixtureChannel(tuple(range(c.n)), _walsh_engine(c, _GateTables(c.n), 1.0))
 
 
 def naive_block_coefficients(c: Circuit) -> BlockCoefficients:
@@ -192,9 +297,19 @@ def naive_block_coefficients(c: Circuit) -> BlockCoefficients:
     return BlockCoefficients(c.n, vec)
 
 
+def gamma_std(c: Circuit) -> float:
+    """Per-gate sampling cost: the product of per-layer L1 norms. Raises
+    GuardExceeded when the product overflows float64."""
+    tables = _GateTables(c.n)
+    total = 1.0
+    for op, tag in zip(c.ops, c.noise_tags):
+        total *= tables.layer_gamma(op, tag)
+    return _finite(total, "gamma_std")
+
+
 def gamma_blk(c: Circuit) -> float:
     """Aggregated-control sampling cost; always <= gamma_std."""
-    return block_coefficients(c).gamma()
+    return _finite(block_coefficients(c).gamma(), "gamma_blk")
 
 
 def fold_noisy_controls(
@@ -272,26 +387,27 @@ def hybrid_plan(c: Circuit) -> MitigationPlan:
     everything else. A circuit with no compatible gate degenerates to
     standard PEC with the same total cost."""
     report = classify_circuit(c)
-    compatible_ranges = list(report.segments)
+    runs = dict(report.segments)
+    tables = _GateTables(c.n)
     segments: list[PlanSegment] = []
     total = 1.0
     i = 0
     while i < len(c.ops):
-        run = next((r for r in compatible_ranges if r[0] == i), None)
-        if run is not None:
-            start, stop = run
-            coeffs = block_coefficients(c.subcircuit(start, stop))
+        if i in runs:
+            start, stop = i, runs[i]
+            coeffs = BlockCoefficients(
+                c.n, _walsh_engine(c.subcircuit(start, stop), tables, -1.0)
+            )
             g = coeffs.gamma()
             segments.append(PlanSegment("block", start, stop, g, coeffs))
-            total *= g
             i = stop
         else:
-            dist = layer_distribution(c.ops[i], c.noise_tags[i])
-            g = gamma_of(dist)
+            dist = tables.layer(c.ops[i], c.noise_tags[i])
+            g = tables.layer_gamma(c.ops[i], c.noise_tags[i])
             segments.append(PlanSegment("per_gate", i, i + 1, g, dist))
-            total *= g
             i += 1
-    return MitigationPlan(tuple(segments), total)
+        total *= g
+    return MitigationPlan(tuple(segments), _finite(total, "hybrid total gamma"))
 
 
 def analytic_pattern_gammas(

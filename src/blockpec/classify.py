@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .conjugation import conjugate_z_string
+from .conjugation import generator_images
 from .errors import NotZClosed, UnsupportedGate
 from .gates import GateOp, unitary_of
-from .pauli import PauliZString
 
 _TOL = 1e-10
 
@@ -29,7 +28,11 @@ _TOL = 1e-10
 def is_bias_preserving(g: GateOp) -> bool:
     """True iff every column of the unitary has exactly one entry of modulus
     >= 1 - 1e-10 and the rest <= 1e-10."""
-    u = np.abs(unitary_of(g))
+    return _bias_preserving(unitary_of(g))
+
+
+def _bias_preserving(u: np.ndarray) -> bool:
+    u = np.abs(u)
     big = u >= 1.0 - _TOL
     small = u <= _TOL
     per_column_ok = (big.sum(axis=0) == 1) & ((big | small).all(axis=0))
@@ -45,7 +48,10 @@ def is_s1_bias_preserving(g: GateOp) -> bool:
     """
     if g.arity != 2:
         raise UnsupportedGate(f"S1 classification needs a 2-qubit gate, got {g}")
-    u = unitary_of(g)
+    return _s1_bias_preserving(unitary_of(g))
+
+
+def _s1_bias_preserving(u: np.ndarray) -> bool:
     inside = [1, 2]  # |01>, |10>
     outside = [0, 3]
     if np.abs(u[np.ix_(outside, inside)]).max() > _TOL:
@@ -60,16 +66,14 @@ def is_s1_bias_preserving(g: GateOp) -> bool:
 
 
 def pauli_z_compatible(g: GateOp) -> bool:
-    """True iff conjugation succeeds for every local Z-string of the gate."""
-    n = max(g.qubits) + 1
-    for local in range(1 << g.arity):
-        s = PauliZString.from_qubits(
-            n, (q for a, q in enumerate(g.qubits) if local >> a & 1)
-        )
-        try:
-            conjugate_z_string(g, s)
-        except NotZClosed:
-            return False
+    """True iff conjugation succeeds for every local Z-string of the gate.
+
+    Conjugation is a group homomorphism once phases are discarded, so it
+    suffices that each single-qubit generator Z_q maps to a Z-string."""
+    try:
+        generator_images(g, max(g.qubits) + 1)
+    except NotZClosed:
+        return False
     return True
 
 
@@ -112,17 +116,25 @@ def maximal_segments(flags) -> tuple[tuple[int, int], ...]:
 
 
 def classify_circuit(c: Circuit) -> CompatReport:
-    bias, s1, compat = [], [], []
+    """Per-gate flags and maximal compatible segments. The flags depend only
+    on the gate's kind and angle, so each distinct (kind, angle) gets one
+    unitary and one classification per call."""
+    flags: dict = {}
+    rows = []
     for op in c.ops:
-        bias.append(is_bias_preserving(op))
-        if op.arity == 2:
-            s1.append(is_s1_bias_preserving(op))
-        else:
-            s1.append(False)
-        compat.append(pauli_z_compatible(op))
+        key = (op.kind, op.angle)
+        if key not in flags:
+            u = unitary_of(op)
+            flags[key] = (
+                _bias_preserving(u),
+                op.arity == 2 and _s1_bias_preserving(u),
+                pauli_z_compatible(op),
+            )
+        rows.append(flags[key])
+    bias, s1, compat = (tuple(col) for col in zip(*rows)) if rows else ((), (), ())
     return CompatReport(
-        bias_preserving=tuple(bias),
-        s1_bias_preserving=tuple(s1),
-        pauli_z_compatible=tuple(compat),
+        bias_preserving=bias,
+        s1_bias_preserving=s1,
+        pauli_z_compatible=compat,
         segments=maximal_segments(compat),
     )

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: gamma, estimate, experiment, fit, check-compat. Exit codes:
-0 success, 2 resource guard exceeded, 3 singular (non-invertible) channel,
-4 unparseable input (circuit file, JSON, CSV, or command line), 1 other
-package errors.
+0 success, 2 resource guard exceeded (including a cost or output value that
+overflows float64), 3 singular (non-invertible) channel, 4 unparseable input
+(circuit file, JSON, CSV, or command line), 1 other package errors.
 """
 
 from __future__ import annotations
@@ -96,6 +96,15 @@ def _default_observable(c: Circuit) -> Observable:
     return Observable.z(c.n, 0)
 
 
+def _emit(payload: dict) -> None:
+    """Print one JSON line; a non-finite number is an overflow, not output."""
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError as exc:
+        raise GuardExceeded(f"non-finite value in output: {exc}") from None
+    print(text)
+
+
 def _cmd_gamma(args) -> int:
     c = _load(args.circuit, args.noise)
     if args.mode == "std":
@@ -104,7 +113,7 @@ def _cmd_gamma(args) -> int:
         gamma = gamma_blk(c)
     else:
         gamma = hybrid_plan(c).total_gamma
-    print(json.dumps({"mode": args.mode, "gamma": gamma, "n": c.n, "ops": len(c.ops)}))
+    _emit({"mode": args.mode, "gamma": gamma, "n": c.n, "ops": len(c.ops)})
     return EXIT_OK
 
 
@@ -116,7 +125,7 @@ def _cmd_estimate(args) -> int:
     ideal = ideal_expectation(c, obs)
     out["ideal"] = ideal
     out["abs_error"] = abs(report.mean - ideal)
-    print(json.dumps(out))
+    _emit(out)
     return EXIT_OK
 
 
@@ -130,7 +139,7 @@ def _cmd_experiment(args) -> int:
             "csv": cfg.output_path,
             "mean_gain_by_n": {str(n): g for n, g in mean_gain_by_n(rows).items()},
         }
-        print(json.dumps(summary))
+        _emit(summary)
     else:
         write_gain_csv(rows, "/dev/stdout")
     return EXIT_OK
@@ -140,13 +149,13 @@ def _cmd_fit(args) -> int:
     rows = read_gain_csv(args.csv)
     points = sorted(mean_gain_by_n(rows).items())
     exp_fit, quad_fit = fit_models(points)
-    print(json.dumps({"exponential": exp_fit.to_dict(), "quadratic": quad_fit.to_dict()}))
+    _emit({"exponential": exp_fit.to_dict(), "quadratic": quad_fit.to_dict()})
     return EXIT_OK
 
 
 def _cmd_check_compat(args) -> int:
     c = load_circuit(args.circuit)
-    print(json.dumps(classify_circuit(c).to_dict()))
+    _emit(classify_circuit(c).to_dict())
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from .blocks import gamma_std, hybrid_plan
 from .circuits import Circuit
 from .errors import InvalidArgument
 from .generators import (
+    _rng,
     gen_option_payoff,
     gen_random_bp,
     gen_rbs_pyramid,
@@ -90,8 +91,7 @@ def build_family_circuit(
     if family == "option_payoff":
         return gen_option_payoff(n, seed=seed)
     if family == "unary_loader":
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xA5], dtype=np.uint64)))
-        vec = rng.standard_normal(n)
+        vec = _rng(seed, "unary_loader").standard_normal(n)
         return gen_unary_loader(vec)
     raise InvalidArgument(f"unknown family {family!r}")
 

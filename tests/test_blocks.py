@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 from conftest import EXACT_KINDS, random_circuit
+from oracles import forward_block_coefficients
 
 from blockpec.blocks import (
     BlockCoefficients,
@@ -110,9 +111,11 @@ def test_three_way_oracle_agreement():
         recursive = block_coefficients(c).coeffs
         naive = naive_block_coefficients(c).coeffs
         via_effective = invert_z_mixture(effective_noise(c)).coeffs
+        forward = forward_block_coefficients(c).coeffs
         scale = max(1.0, float(np.abs(recursive).max()))
         assert np.abs(recursive - naive).max() < 1e-12 * scale
         assert np.abs(recursive - via_effective).max() < 1e-12 * scale
+        assert np.abs(recursive - forward).max() < 1e-12 * scale
 
 
 def test_triangle_inequality():
@@ -260,6 +263,24 @@ def test_guards():
     c = Circuit(3, tuple(GateOp("CNOT", (0, 1)) for _ in range(6))).with_noise(P01)
     with pytest.raises(GuardExceeded):
         naive_block_coefficients(c)  # n*d = 18 > 16
+
+
+def test_overflowing_costs_raise_guard():
+    # 401 CNOTs at p = 0.4: gamma_std = 25^401 overflows float64, and so do
+    # the block coefficients.
+    c = Circuit(2, tuple(GateOp("CNOT", (0, 1)) for _ in range(401)))
+    c = c.with_noise(NoiseSpec("uncorrelated", 0.4))
+    with pytest.raises(GuardExceeded):
+        gamma_std(c)
+    with pytest.raises(GuardExceeded):
+        gamma_blk(c)
+    with pytest.raises(GuardExceeded):
+        hybrid_plan(c)
+    # Short blocks with finite gammas whose product overflows.
+    pair = (GateOp("CNOT", (0, 1)), GateOp("H", (0,)))
+    mixed = Circuit(2, pair * 401).with_noise(NoiseSpec("uncorrelated", 0.4))
+    with pytest.raises(GuardExceeded):
+        hybrid_plan(mixed)
 
 
 def test_analytic_pattern_errors():

@@ -183,6 +183,24 @@ def test_guard_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_overflowing_gamma_exits_guard(tmp_path, capsys):
+    path = tmp_path / "deep.txt"
+    path.write_text("qubits=2\n" + "CNOT 0,1\n" * 401)
+    noise = '{"kind": "uncorrelated", "p": 0.4}'
+    for mode in ("std", "blk", "hybrid"):
+        assert main(["gamma", str(path), "--noise", noise, "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
+def test_experiment_accepts_negative_seed(tmp_path, capfd):
+    cfg = _write_config(tmp_path, family="unary_loader", n_range=[3, 4], seeds=[-1])
+    assert main(["experiment", "--config", cfg]) == 0
+    rows = list(csv.DictReader(io.StringIO(capfd.readouterr().out)))
+    assert [row["seed"] for row in rows] == ["-1", "-1"]
+
+
 def test_singular_exit(diag_circuit, capsys, monkeypatch):
     def boom(path, noise_json):
         raise SingularChannel("channel is not invertible")

@@ -19,6 +19,7 @@ from blockpec.experiments import (
     run_gain_experiment,
     write_gain_csv,
 )
+from blockpec.generators import gen_unary_loader
 from blockpec.noise import NoiseSpec
 
 
@@ -75,6 +76,23 @@ def test_build_family_circuit():
     assert a.n == 6
     with pytest.raises(InvalidArgument):
         build_family_circuit("mystery", 3, seed=0)
+
+
+def test_unary_loader_seed_keys():
+    # Non-negative seeds keep their circuits; negative seeds wrap to 64 bits.
+    key = np.array([9, 0xA5], dtype=np.uint64)
+    vec = np.random.Generator(np.random.Philox(key=key)).standard_normal(6)
+    assert serialize_circuit(build_family_circuit("unary_loader", 6, seed=9)) == (
+        serialize_circuit(gen_unary_loader(vec))
+    )
+    neg = build_family_circuit("unary_loader", 6, seed=-1)
+    key = np.array([2**64 - 1, 0xA5], dtype=np.uint64)
+    vec = np.random.Generator(np.random.Philox(key=key)).standard_normal(6)
+    assert serialize_circuit(neg) == serialize_circuit(gen_unary_loader(vec))
+    rows = run_gain_experiment(
+        ExperimentConfig("unary_loader", (3, 4), NoiseSpec("uncorrelated", 0.01), (-1,))
+    )
+    assert [r.seed for r in rows] == [-1, -1]
 
 
 def test_rows_order_and_shape():
