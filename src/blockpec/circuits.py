@@ -46,11 +46,6 @@ class Circuit:
         """Copy of the circuit with every op tagged with the same noise spec."""
         return Circuit(self.n, self.ops, (spec,) * len(self.ops), dict(self.meta))
 
-    def layered_view(self) -> list[list[int]]:
-        """Order-preserving partition of op indices; one op per layer by
-        default."""
-        return [[i] for i in range(len(self.ops))]
-
     def subcircuit(self, start: int, stop: int) -> "Circuit":
         return Circuit(
             self.n, self.ops[start:stop], self.noise_tags[start:stop], dict(self.meta)

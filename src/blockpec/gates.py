@@ -119,10 +119,13 @@ def unitary_of(g: GateOp) -> np.ndarray:
         return m
     if kind == "XCZ":
         # X-basis control on qubits[0], Z rotation by -theta on qubits[1]:
-        # |+><+| (x) I + |-><-| (x) RZ(-theta).
-        plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
-        minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
-        return np.kron(plus, np.eye(2)) + np.kron(minus, _rz(-theta))
+        # |+><+| (x) I + |-><-| (x) RZ(-theta), written out as 2x2 blocks
+        # [[P + R, P - R], [P - R, P + R]] with P = I/2 and R = RZ(-theta)/2.
+        p, r = 0.5 * np.eye(2), 0.5 * _rz(-theta)
+        m = np.empty((4, 4), dtype=complex)
+        m[:2, :2] = m[2:, 2:] = p + r
+        m[:2, 2:] = m[2:, :2] = p - r
+        return m
     if kind == "RBS":
         c, s = math.cos(theta), math.sin(theta)
         return np.array(

@@ -87,23 +87,32 @@ def _local_pattern_table(support, n: int) -> np.ndarray:
     return table
 
 
-def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np.ndarray:
-    """Apply a (possibly signed) Z-mixture: multiply each coherence by the
-    mixture's Walsh-Hadamard eigenvalue at that XOR pattern."""
+def _coherence_factors(mix: ZMixtureChannel, n: int) -> np.ndarray:
+    """The mixture's Walsh-Hadamard eigenvalue at each coherence's XOR
+    pattern (2^n x 2^n)."""
     lam_local = mix.eigenvalues()
     table = _local_pattern_table(mix.support, n)
     idx = np.arange(1 << n)
-    factors = lam_local[table[idx[:, None] ^ idx[None, :]]]
-    return rho * factors
+    return lam_local[table[idx[:, None] ^ idx[None, :]]]
+
+
+def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np.ndarray:
+    """Apply a (possibly signed) Z-mixture: multiply each coherence by the
+    mixture's Walsh-Hadamard eigenvalue at that XOR pattern."""
+    return rho * _coherence_factors(mix, n)
 
 
 def apply_block_mixture_density(rho: np.ndarray, b: BlockCoefficients) -> np.ndarray:
     return apply_z_mixture_density(rho, b.to_mixture(), b.n)
 
 
-def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
+def _z_sign_matrix(mask: int, n: int) -> np.ndarray:
     s = z_sign_vector(mask, n)
-    return rho * (s[:, None] * s[None, :])
+    return s[:, None] * s[None, :]
+
+
+def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
+    return rho * _z_sign_matrix(mask, n)
 
 
 def apply_pauli1_density(rho: np.ndarray, coeffs, qubit: int, n: int) -> np.ndarray:
@@ -214,16 +223,12 @@ def _zero_density(n: int) -> np.ndarray:
     return rho
 
 
-def _evolve_noisy_density(c: Circuit, controls=None) -> np.ndarray:
-    """Exact noisy evolution; ``controls`` optionally maps op index -> list of
-    Z-string masks to apply right after that op's noise."""
+def _evolve_noisy_density(c: Circuit) -> np.ndarray:
+    """Exact noisy evolution from the all-zeros state."""
     rho = _zero_density(c.n)
-    for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
+    for op, tag in zip(c.ops, c.noise_tags):
         rho = apply_unitary_density(rho, unitary_of(op), op.qubits, c.n)
         rho = _apply_op_noise_density(rho, op, tag, c.n)
-        if controls:
-            for mask in controls.get(i, ()):
-                rho = apply_z_string_density(rho, mask, c.n)
     return rho
 
 
@@ -276,8 +281,6 @@ def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float
             if tag is not None and not tag.is_noiseless():
                 rho = apply_z_mixture_density(rho, layer_distribution(op, tag), c.n)
         return obs.expectation_density(rho)
-    if (1 << c.n) > _ENUM_GUARD:
-        raise GuardExceeded("aggregated-control enumeration too large")
     if mode == "blk":
         coeffs = block_coefficients(c)
         rho = _evolve_noisy_density(c)
@@ -392,17 +395,130 @@ def _estimator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _trajectory_outcome(c: Circuit, obs: Observable, masks) -> float:
-    """Statevector path for 10 < n <= 14: evolve one trajectory, applying the
-    per-op Z-string ``masks`` (drawn noise XOR drawn controls) as sign flips."""
-    psi = np.zeros(1 << c.n, dtype=complex)
-    psi[0] = 1.0
-    for i, op in enumerate(c.ops):
-        psi = apply_unitary_state(psi, unitary_of(op), op.qubits, c.n)
-        m = int(masks[i])
-        if m:
-            psi = psi * z_sign_vector(m, c.n)
-    return obs.expectation_state(psi)
+# Byte budgets of the estimator's per-call tables and of the prefix states its
+# walk holds; past them, tables are rebuilt on use and states re-evolved.
+_TABLE_BYTES = 1 << 26
+_STATE_BYTES = 1 << 26
+
+
+class _CallTables:
+    """Memo for one estimator call. It stops storing once its entries fill
+    ``budget`` bytes; a miss past that is rebuilt on every use."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.entries: dict = {}
+
+    def get(self, key, build):
+        value = self.entries.get(key)
+        if value is None:
+            value = build()
+            if value.nbytes <= self.budget:
+                self.entries[key] = value
+                self.budget -= value.nbytes
+        return value
+
+
+def _unique_rows(comb: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Distinct rows of ``comb`` restricted to its nonzero columns, in byte
+    order (rows sharing a prefix of columns are adjacent), the row index of
+    every sample, and the kept op columns."""
+    cols = np.flatnonzero(comb.any(axis=0)).tolist()
+    keys = comb[:, cols].astype(np.uint8 if n <= 8 else np.uint16, order="C")
+    if not cols:
+        return keys[:1], np.zeros(len(keys), dtype=np.intp), cols
+    rows = keys.view(np.dtype((np.void, keys.itemsize * len(cols)))).ravel()
+    uniq, inverse = np.unique(rows, return_inverse=True)
+    return uniq.view(keys.dtype).reshape(len(uniq), len(cols)), inverse, cols
+
+
+def _trajectory_outcomes(
+    c: Circuit, obs: Observable, comb: np.ndarray, use_density: bool
+) -> np.ndarray:
+    """Outcome of every sample row of ``comb``, whose entry (s, i) is a
+    Z-string mask applied right after op i (after its noise channel on the
+    density path; the statevector path has no channels, its rows already
+    carry the drawn noise strings).
+
+    The distinct rows are walked in byte order. Row r restarts from the state
+    stored at its first column that differs from row r-1, so shared prefixes
+    are evolved once. A state is stored only at depths where a later row
+    branches off: the chain of running minima of the later rows' common-prefix
+    lengths. Each op's step is the same kernel call on the same operands as a
+    from-scratch evolution, so every outcome is bitwise the same.
+    """
+    n = c.n
+    uniq, inverse, cols = _unique_rows(comb, n)
+    tables = _CallTables(_TABLE_BYTES)
+
+    def evolve(state, start, stop):
+        for i in range(start, stop):
+            op, tag = c.ops[i], c.noise_tags[i]
+            angle = None if op.angle is None else op.angle.hex()  # keeps -0.0 apart
+            u = tables.get((op.kind, angle), lambda: unitary_of(op))
+            if not use_density:
+                state = apply_unitary_state(state, u, op.qubits, n)
+                continue
+            state = apply_unitary_density(state, u, op.qubits, n)
+            if tag is None or tag.is_noiseless():
+                continue
+            if tag.kind == "impure":
+                state = _apply_op_noise_density(state, op, tag, n)
+                continue
+            support = tuple(sorted(op.qubits))
+            state = state * tables.get(
+                (tag, support), lambda: _coherence_factors(make_dephasing(tag, support), n)
+            )
+        return state
+
+    if use_density:
+        initial, expect, sign_table = _zero_density(n), obs.expectation_density, _z_sign_matrix
+    else:
+        initial = np.zeros(1 << n, dtype=complex)
+        initial[0] = 1.0
+        expect, sign_table = obs.expectation_state, z_sign_vector
+    depth = len(cols)
+    # Ops [bounds[d], bounds[d+1]) lead to depth d: the state right before
+    # column d's mask. The last span runs to the end of the circuit.
+    bounds = [0] + [i + 1 for i in cols] + [len(c.ops)]
+    rows = uniq.tolist()
+    lcp = [0]
+    if len(rows) > 1:
+        lcp += np.argmax(uniq[1:] != uniq[:-1], axis=1).tolist()
+    # nxt[j]: the first later row with a shorter common prefix than row j.
+    nxt = [len(rows)] * len(rows)
+    pending: list[int] = []
+    for j in range(len(rows) - 1, 0, -1):
+        while pending and lcp[pending[-1]] >= lcp[j]:
+            pending.pop()
+        if pending:
+            nxt[j] = pending[-1]
+        pending.append(j)
+
+    stack = [(0, evolve(initial, 0, bounds[1]) if depth else initial)]
+    held = 0
+    out = np.empty(len(rows))
+    for r, row in enumerate(rows):
+        while stack[-1][0] > lcp[r]:
+            held -= stack.pop()[1].nbytes
+        top, state = stack[-1]
+        keep = []  # depths below which later rows branch, deepest first
+        j = r + 1
+        while j < len(rows) and lcp[j] > top:
+            keep.append(lcp[j])
+            j = nxt[j]
+        for d in range(top, depth):
+            if d > top:
+                state = evolve(state, bounds[d], bounds[d + 1])
+                if keep and keep[-1] == d:
+                    keep.pop()
+                    if held + state.nbytes <= _STATE_BYTES:
+                        stack.append((d, state))
+                        held += state.nbytes
+            if row[d]:
+                state = state * tables.get(("signs", row[d]), lambda: sign_table(row[d], n))
+        out[r] = expect(evolve(state, bounds[depth], bounds[depth + 1]))
+    return out[inverse]
 
 
 def pec_estimate(
@@ -423,8 +539,19 @@ def pec_estimate(
 
     One Philox stream per seed, consumed in a fixed order (slot uniforms,
     then forward-noise uniforms on the statevector path, then shot draws),
-    so fixed (inputs, seed) give bitwise-identical reports. Trajectories
-    sharing the same inserted strings are evaluated once.
+    so fixed (inputs, seed) give bitwise-identical reports.
+
+    Trajectories are evaluated once per distinct row of inserted strings.
+    Dedup keeps only the ops where some sample drew a string, packs each row
+    into bytes (uint8 masks up to n = 8, uint16 above) and sorts the rows
+    bytewise, so rows sharing a prefix of inserted strings sit together. The
+    walk then restarts each row from the state stored where it first differs
+    from the row before, keeping states only at depths where a later row
+    branches off (at most 64 MiB of them; deeper restarts re-evolve). Unitaries
+    per (kind, angle), coherence factors per (noise tag, support) and sign
+    tables per drawn string are built once per call and dropped on return.
+    Every op is applied by the same kernel call on the same operands as a
+    from-scratch evolution, so reports do not depend on the walk.
     """
     _check_obs(c, obs)
     if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
@@ -450,15 +577,7 @@ def pec_estimate(
             comb[:, slot.after_op] ^= slot.gmasks[idx]
             signs *= slot.signs[idx]
 
-    if use_density:
-        uniq, inverse = np.unique(comb, axis=0, return_inverse=True)
-        out_u = np.empty(len(uniq))
-        for r, row in enumerate(uniq):
-            controls = {i: [int(m)] for i, m in enumerate(row) if m}
-            rho = _evolve_noisy_density(c, controls)
-            out_u[r] = obs.expectation_density(rho)
-        outcomes = out_u[inverse]
-    else:
+    if not use_density:
         # Statevector path: noise enters as sampled forward Z-strings.
         for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
             if tag is None or tag.is_noiseless():
@@ -475,9 +594,7 @@ def pec_estimate(
                 len(gmasks) - 1,
             )
             comb[:, i] ^= gmasks[draw]
-        uniq, inverse = np.unique(comb, axis=0, return_inverse=True)
-        out_u = np.array([_trajectory_outcome(c, obs, row) for row in uniq])
-        outcomes = out_u[inverse]
+    outcomes = _trajectory_outcomes(c, obs, comb, use_density)
 
     if shots is not None:
         p_plus = np.clip((1.0 + outcomes) / 2.0, 0.0, 1.0)

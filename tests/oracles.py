@@ -6,6 +6,9 @@ computation.
 op and XOR-convolving it with that op's own distribution: O(d * 2^n * 2^m)
 work, simple enough to trust. ``all_strings_z_compatible`` checks Z-closure
 on every local Z-string of a gate instead of on its generators only.
+``xcz_kron_unitary`` builds the XCZ matrix from two Kronecker products.
+``reference_pec_outcomes`` is the estimator's per-trajectory route: every
+distinct row of drawn masks evolved on its own from the all-zeros state.
 """
 
 from __future__ import annotations
@@ -17,8 +20,18 @@ from blockpec.circuits import Circuit
 from blockpec.conjugation import conjugate_z_string, generator_images
 from blockpec.errors import NotZClosed
 from blockpec.gates import GateOp
-from blockpec.noise import ZMixtureChannel, make_dephasing
+from blockpec.gates import _rz, unitary_of
+from blockpec.noise import ZMixtureChannel, make_dephasing, make_impure
 from blockpec.pauli import PauliZString
+from blockpec.simulate import (
+    Observable,
+    apply_pauli1_density,
+    apply_unitary_density,
+    apply_unitary_state,
+    apply_z_mixture_density,
+    apply_z_string_density,
+    z_sign_vector,
+)
 
 
 def _support_mask(op: GateOp) -> int:
@@ -98,3 +111,52 @@ def all_strings_z_compatible(g: GateOp) -> bool:
         except NotZClosed:
             return False
     return True
+
+
+def xcz_kron_unitary(theta: float) -> np.ndarray:
+    """|+><+| (x) I + |-><-| (x) RZ(-theta), built with np.kron."""
+    plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    minus = np.array([[0.5, -0.5], [-0.5, 0.5]], dtype=complex)
+    return np.kron(plus, np.eye(2)) + np.kron(minus, _rz(-theta))
+
+
+def _reference_density_outcome(c: Circuit, obs: Observable, row) -> float:
+    rho = np.zeros((1 << c.n, 1 << c.n), dtype=complex)
+    rho[0, 0] = 1.0
+    for op, tag, mask in zip(c.ops, c.noise_tags, row):
+        rho = apply_unitary_density(rho, unitary_of(op), op.qubits, c.n)
+        if tag is not None and not tag.is_noiseless():
+            if tag.kind == "impure":
+                forward, _ = make_impure(tag.p, tag.q)
+                for q in op.qubits:
+                    rho = apply_pauli1_density(rho, forward.coeffs, q, c.n)
+            else:
+                mix = make_dephasing(tag, tuple(sorted(op.qubits)))
+                rho = apply_z_mixture_density(rho, mix, c.n)
+        if mask:
+            rho = apply_z_string_density(rho, int(mask), c.n)
+    return obs.expectation_density(rho)
+
+
+def _reference_state_outcome(c: Circuit, obs: Observable, row) -> float:
+    psi = np.zeros(1 << c.n, dtype=complex)
+    psi[0] = 1.0
+    for op, mask in zip(c.ops, row):
+        psi = apply_unitary_state(psi, unitary_of(op), op.qubits, c.n)
+        if mask:
+            psi = psi * z_sign_vector(int(mask), c.n)
+    return obs.expectation_state(psi)
+
+
+def reference_pec_outcomes(
+    c: Circuit, obs: Observable, comb: np.ndarray, use_density: bool
+) -> np.ndarray:
+    """Outcome of every sample row of ``comb`` (one Z-string mask per op,
+    applied right after that op): each distinct row is evolved from the
+    all-zeros state on its own, with the op's noise channel on the density
+    path and no noise on the statevector path (there the rows already carry
+    the sampled noise strings)."""
+    outcome = _reference_density_outcome if use_density else _reference_state_outcome
+    uniq, inverse = np.unique(comb, axis=0, return_inverse=True)
+    out = np.array([outcome(c, obs, row) for row in uniq])
+    return out[inverse.reshape(-1)]

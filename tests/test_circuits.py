@@ -104,7 +104,6 @@ def test_with_noise_and_views():
     assert noisy.noise_tags == (spec, spec, spec)
     assert noisy.ops == c.ops
     assert len(noisy) == 3
-    assert noisy.layered_view() == [[0], [1], [2]]
 
     sub = noisy.subcircuit(1, 3)
     assert sub.ops == noisy.ops[1:]

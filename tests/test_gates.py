@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from conftest import total_unitary
+from oracles import xcz_kron_unitary
 
 from blockpec.errors import InvalidArgument, UnsupportedGate
 from blockpec.gates import (
@@ -97,6 +98,16 @@ def test_xcz_convention():
     basis = np.kron(h, np.eye(2))
     d = basis.conj().T @ u @ basis
     assert np.abs(d - np.diag(np.diagonal(d))).max() < 1e-12
+
+
+def test_xcz_block_form_is_bytewise_kron_form():
+    # The estimator's reports are pinned bitwise, so the closed form must
+    # reproduce every byte of the Kronecker construction, signed zeros too.
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, math.pi, -math.pi, 2.0 * math.pi, math.pi / 2, 5e-324, 1e300]
+    for theta in special + list(rng.uniform(-20.0, 20.0, 2000)):
+        u = unitary_of(GateOp("XCZ", (0, 1), theta))
+        assert u.tobytes() == xcz_kron_unitary(theta).tobytes(), theta
 
 
 def test_cry_matrix():
