@@ -1,10 +1,13 @@
 """Exact simulation and Monte Carlo estimation of mitigated expectations.
 
 Statevector simulation covers ideal circuits up to n = 14; exact noisy
-evolution uses a dense density matrix up to n = 10, applying Z-mixtures as
-elementwise coherence factors (rho'_{xy} = lambda(x xor y) * rho_{xy}).
-The Monte Carlo estimator draws correction strings per sample from a single
-keyed counter-based stream, so results are bitwise reproducible per seed.
+evolution uses a dense density matrix up to n = 10. Each call compiles its
+circuit once into the gather, broadcast and dense steps of ``kernels``: one
+step per distinct gate, noise channel and correction, no 2^n x 2^n tables.
+Results are bitwise those of plain tensordot contractions and full
+coherence-factor tables. The Monte Carlo estimator draws correction strings
+per sample from a single keyed counter-based stream, so results are bitwise
+reproducible per seed.
 """
 
 from __future__ import annotations
@@ -29,112 +32,96 @@ from .errors import (
     InvalidSamples,
 )
 from .gates import unitary_of
-from .noise import ZMixtureChannel, make_dephasing, make_impure
+from .kernels import (
+    mixture_step,
+    noise_step,
+    run,
+    sign_step,
+    unitary_step,
+    z_sign_vector,
+)
+from .noise import ZMixtureChannel, make_dephasing
 from .pauli import PauliZString
 
 STATEVECTOR_GUARD = 14
 DENSITY_GUARD = 10
 _ENUM_GUARD = 1 << 16
 
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0 + 0j, -1.0]),
-}
-
-
-def z_sign_vector(mask: int, n: int) -> np.ndarray:
-    """(+/-1)^{parity of mask bits} over the 2^n basis indices (qubit q lives
-    at index bit n-1-q)."""
-    idx = np.arange(1 << n)
-    signs = np.ones(1 << n)
-    for q in range(n):
-        if mask >> q & 1:
-            signs *= np.where((idx >> (n - 1 - q)) & 1, -1.0, 1.0)
-    return signs
-
 
 def apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    k = len(qubits)
-    tensor = psi.reshape((2,) * n)
-    u_t = u.reshape((2,) * (2 * k))
-    moved = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
-    return np.moveaxis(moved, range(k), qubits).reshape(-1)
+    u = np.asarray(u)
+    psi = np.asarray(psi, dtype=np.result_type(psi, u))
+    return run(psi, unitary_step(u, qubits, n, density=False))
 
 
 def apply_unitary_density(rho: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
-    dim = 1 << n
-    k = len(qubits)
-    tensor = rho.reshape((2,) * (2 * n))
-    u_t = u.reshape((2,) * (2 * k))
-    # Row side: U rho
-    moved = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
-    tensor = np.moveaxis(moved, range(k), qubits)
-    # Column side: ... U^dag
-    cols = [n + q for q in qubits]
-    moved = np.tensordot(u_t.conj(), tensor, axes=(list(range(k, 2 * k)), cols))
-    tensor = np.moveaxis(moved, range(k), cols)
-    return tensor.reshape(dim, dim)
-
-
-def _local_pattern_table(support, n: int) -> np.ndarray:
-    """Local coefficient index of each global basis-index XOR pattern."""
-    idx = np.arange(1 << n)
-    table = np.zeros(1 << n, dtype=np.int64)
-    for a, q in enumerate(support):
-        table |= ((idx >> (n - 1 - q)) & 1) << a
-    return table
-
-
-def _coherence_factors(mix: ZMixtureChannel, n: int) -> np.ndarray:
-    """The mixture's Walsh-Hadamard eigenvalue at each coherence's XOR
-    pattern (2^n x 2^n)."""
-    lam_local = mix.eigenvalues()
-    table = _local_pattern_table(mix.support, n)
-    idx = np.arange(1 << n)
-    return lam_local[table[idx[:, None] ^ idx[None, :]]]
+    u = np.asarray(u)
+    rho = np.asarray(rho, dtype=np.result_type(rho, u))
+    return run(rho, unitary_step(u, qubits, n, density=True))
 
 
 def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np.ndarray:
     """Apply a (possibly signed) Z-mixture: multiply each coherence by the
     mixture's Walsh-Hadamard eigenvalue at that XOR pattern."""
-    return rho * _coherence_factors(mix, n)
+    return run(rho, mixture_step(mix, n))
 
 
 def apply_block_mixture_density(rho: np.ndarray, b: BlockCoefficients) -> np.ndarray:
     return apply_z_mixture_density(rho, b.to_mixture(), b.n)
 
 
-def _z_sign_matrix(mask: int, n: int) -> np.ndarray:
-    s = z_sign_vector(mask, n)
-    return s[:, None] * s[None, :]
-
-
 def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
-    return rho * _z_sign_matrix(mask, n)
+    return run(rho, sign_step(mask, n))
 
 
-def apply_pauli1_density(rho: np.ndarray, coeffs, qubit: int, n: int) -> np.ndarray:
-    """Single-qubit Pauli mixture rho -> sum_P c_P P rho P^dag."""
-    out = np.zeros_like(rho)
-    for c, label in zip(coeffs, "IXYZ"):
-        if c == 0.0:
-            continue
-        out = out + c * apply_unitary_density(rho, _PAULI_1Q[label], (qubit,), n)
-    return out
+# Byte budgets of the per-call compiled steps and of the prefix states the
+# estimator's walk holds; past them, steps are rebuilt on use and states
+# re-evolved.
+_TABLE_BYTES = 1 << 26
+_STATE_BYTES = 1 << 26
 
 
-def _apply_op_noise_density(rho: np.ndarray, op, tag, n: int) -> np.ndarray:
-    if tag is None or tag.is_noiseless():
-        return rho
-    if tag.kind == "impure":
-        forward, _ = make_impure(tag.p, tag.q)
-        for q in op.qubits:
-            rho = apply_pauli1_density(rho, forward.coeffs, q, n)
-        return rho
-    mix = make_dephasing(tag, tuple(sorted(op.qubits)))
-    return apply_z_mixture_density(rho, mix, n)
+class _Program:
+    """A circuit compiled into steps for one call. Each distinct gate (kind,
+    angle, qubits), noise channel and correction is compiled once and kept
+    while the steps' arrays fit ``_TABLE_BYTES``; past that a step is rebuilt
+    on every use. Nothing outlives the call."""
+
+    def __init__(self, c: Circuit, density: bool):
+        self.c = c
+        self.density = density
+        self.budget = _TABLE_BYTES
+        self.steps: dict = {}
+
+    def step(self, key, build):
+        step = self.steps.get(key)
+        if step is None:
+            step = build()
+            size = sum(a.nbytes for a in step[1] if isinstance(a, np.ndarray))
+            if size <= self.budget:
+                self.steps[key] = step
+                self.budget -= size
+        return step
+
+    def evolve(self, state: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Ops [start, stop): each op's unitary, then on the density path its
+        noise channel."""
+        n = self.c.n
+        for i in range(start, stop):
+            op, tag = self.c.ops[i], self.c.noise_tags[i]
+            angle = None if op.angle is None else op.angle.hex()  # keeps -0.0 apart
+            gate = (op.kind, angle, op.qubits)
+            step = self.step(gate, lambda: unitary_step(unitary_of(op), op.qubits, n, self.density))
+            state = run(state, step)
+            if self.density and tag is not None and not tag.is_noiseless():
+                step = self.step((tag, op.qubits), lambda: noise_step(tag, op.qubits, n))
+                state = run(state, step)
+        return state
+
+
+def _check_index(name: str, value, size: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < size:
+        raise InvalidArgument(f"{name} must be an integer in [0, {size}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -156,17 +143,22 @@ class Observable:
 
     @classmethod
     def z(cls, n: int, qubit: int = 0) -> "Observable":
+        _check_index("qubit", qubit, n)
         return cls.z_string(PauliZString.single(n, qubit))
 
     @classmethod
     def projector(cls, n: int, basis_states) -> "Observable":
+        states = list(basis_states)
+        for b in states:
+            _check_index("basis state", b, 1 << n)
         mask = np.zeros(1 << n, dtype=bool)
-        mask[list(basis_states)] = True
+        mask[states] = True
         return cls("diagonal_projector", n, mask)
 
     @classmethod
     def qubit_one_projector(cls, n: int, qubit: int) -> "Observable":
         """Projector onto basis states where ``qubit`` reads 1."""
+        _check_index("qubit", qubit, n)
         idx = np.arange(1 << n)
         return cls("diagonal_projector", n, ((idx >> (n - 1 - qubit)) & 1).astype(bool))
 
@@ -212,9 +204,7 @@ def ideal_expectation(c: Circuit, obs: Observable) -> float:
         raise GuardExceeded(f"statevector refused for n={c.n} > {STATEVECTOR_GUARD}")
     psi = np.zeros(1 << c.n, dtype=complex)
     psi[0] = 1.0
-    for op in c.ops:
-        psi = apply_unitary_state(psi, unitary_of(op), op.qubits, c.n)
-    return obs.expectation_state(psi)
+    return obs.expectation_state(_Program(c, density=False).evolve(psi, 0, len(c.ops)))
 
 
 def _zero_density(n: int) -> np.ndarray:
@@ -225,11 +215,7 @@ def _zero_density(n: int) -> np.ndarray:
 
 def _evolve_noisy_density(c: Circuit) -> np.ndarray:
     """Exact noisy evolution from the all-zeros state."""
-    rho = _zero_density(c.n)
-    for op, tag in zip(c.ops, c.noise_tags):
-        rho = apply_unitary_density(rho, unitary_of(op), op.qubits, c.n)
-        rho = _apply_op_noise_density(rho, op, tag, c.n)
-    return rho
+    return _Program(c, density=True).evolve(_zero_density(c.n), 0, len(c.ops))
 
 
 def noisy_expectation(c: Circuit, obs: Observable) -> float:
@@ -274,24 +260,26 @@ def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float
     if mode == "std":
         if _std_enum_size(c) > _ENUM_GUARD:
             raise GuardExceeded("standard-mode control enumeration too large")
+        program = _Program(c, density=True)
         rho = _zero_density(c.n)
-        for op, tag in zip(c.ops, c.noise_tags):
-            rho = apply_unitary_density(rho, unitary_of(op), op.qubits, c.n)
-            rho = _apply_op_noise_density(rho, op, tag, c.n)
+        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
+            rho = program.evolve(rho, i, i + 1)
             if tag is not None and not tag.is_noiseless():
-                rho = apply_z_mixture_density(rho, layer_distribution(op, tag), c.n)
+                inverse = program.step(
+                    ("inverse", tag, op.qubits),
+                    lambda: mixture_step(layer_distribution(op, tag), c.n),
+                )
+                rho = run(rho, inverse)
         return obs.expectation_density(rho)
     if mode == "blk":
         coeffs = block_coefficients(c)
         rho = _evolve_noisy_density(c)
         return obs.expectation_density(apply_block_mixture_density(rho, coeffs))
     plan = hybrid_plan(c)
+    program = _Program(c, density=True)
     rho = _zero_density(c.n)
     for seg in plan.segments:
-        for i in range(seg.start, seg.stop):
-            op, tag = c.ops[i], c.noise_tags[i]
-            rho = apply_unitary_density(rho, unitary_of(op), op.qubits, c.n)
-            rho = _apply_op_noise_density(rho, op, tag, c.n)
+        rho = program.evolve(rho, seg.start, seg.stop)
         if isinstance(seg.coeffs, BlockCoefficients):
             rho = apply_block_mixture_density(rho, seg.coeffs)
         else:
@@ -395,30 +383,6 @@ def _estimator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# Byte budgets of the estimator's per-call tables and of the prefix states its
-# walk holds; past them, tables are rebuilt on use and states re-evolved.
-_TABLE_BYTES = 1 << 26
-_STATE_BYTES = 1 << 26
-
-
-class _CallTables:
-    """Memo for one estimator call. It stops storing once its entries fill
-    ``budget`` bytes; a miss past that is rebuilt on every use."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.entries: dict = {}
-
-    def get(self, key, build):
-        value = self.entries.get(key)
-        if value is None:
-            value = build()
-            if value.nbytes <= self.budget:
-                self.entries[key] = value
-                self.budget -= value.nbytes
-        return value
-
-
 def _unique_rows(comb: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Distinct rows of ``comb`` restricted to its nonzero columns, in byte
     order (rows sharing a prefix of columns are adjacent), the row index of
@@ -444,39 +408,20 @@ def _trajectory_outcomes(
     stored at its first column that differs from row r-1, so shared prefixes
     are evolved once. A state is stored only at depths where a later row
     branches off: the chain of running minima of the later rows' common-prefix
-    lengths. Each op's step is the same kernel call on the same operands as a
-    from-scratch evolution, so every outcome is bitwise the same.
+    lengths. Each op's step is the same compiled step on the same state as in
+    a from-scratch evolution, so every outcome is bitwise the same.
     """
     n = c.n
     uniq, inverse, cols = _unique_rows(comb, n)
-    tables = _CallTables(_TABLE_BYTES)
-
-    def evolve(state, start, stop):
-        for i in range(start, stop):
-            op, tag = c.ops[i], c.noise_tags[i]
-            angle = None if op.angle is None else op.angle.hex()  # keeps -0.0 apart
-            u = tables.get((op.kind, angle), lambda: unitary_of(op))
-            if not use_density:
-                state = apply_unitary_state(state, u, op.qubits, n)
-                continue
-            state = apply_unitary_density(state, u, op.qubits, n)
-            if tag is None or tag.is_noiseless():
-                continue
-            if tag.kind == "impure":
-                state = _apply_op_noise_density(state, op, tag, n)
-                continue
-            support = tuple(sorted(op.qubits))
-            state = state * tables.get(
-                (tag, support), lambda: _coherence_factors(make_dephasing(tag, support), n)
-            )
-        return state
+    program = _Program(c, use_density)
+    evolve = program.evolve
 
     if use_density:
-        initial, expect, sign_table = _zero_density(n), obs.expectation_density, _z_sign_matrix
+        initial, expect = _zero_density(n), obs.expectation_density
     else:
         initial = np.zeros(1 << n, dtype=complex)
         initial[0] = 1.0
-        expect, sign_table = obs.expectation_state, z_sign_vector
+        expect = obs.expectation_state
     depth = len(cols)
     # Ops [bounds[d], bounds[d+1]) lead to depth d: the state right before
     # column d's mask. The last span runs to the end of the circuit.
@@ -516,9 +461,15 @@ def _trajectory_outcomes(
                         stack.append((d, state))
                         held += state.nbytes
             if row[d]:
-                state = state * tables.get(("signs", row[d]), lambda: sign_table(row[d], n))
+                mask = row[d]
+                state = run(state, program.step(("signs", mask), lambda: sign_step(mask, n)))
         out[r] = expect(evolve(state, bounds[depth], bounds[depth + 1]))
     return out[inverse]
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidSamples(f"{name} must be a positive integer, got {value!r}")
 
 
 def pec_estimate(
@@ -547,17 +498,16 @@ def pec_estimate(
     bytewise, so rows sharing a prefix of inserted strings sit together. The
     walk then restarts each row from the state stored where it first differs
     from the row before, keeping states only at depths where a later row
-    branches off (at most 64 MiB of them; deeper restarts re-evolve). Unitaries
-    per (kind, angle), coherence factors per (noise tag, support) and sign
-    tables per drawn string are built once per call and dropped on return.
-    Every op is applied by the same kernel call on the same operands as a
-    from-scratch evolution, so reports do not depend on the walk.
+    branches off (at most 64 MiB of them; deeper restarts re-evolve). Steps
+    per gate (kind, angle, qubits), noise channel and drawn string are
+    compiled once per call and dropped on return. Every op is applied by the
+    same step as in a from-scratch evolution, so reports do not depend on the
+    walk.
     """
     _check_obs(c, obs)
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 1:
-        raise InvalidSamples(f"n_samples must be a positive integer, got {n_samples}")
-    if shots is not None and shots < 1:
-        raise InvalidSamples(f"shots must be a positive integer, got {shots}")
+    _check_count("n_samples", n_samples)
+    if shots is not None:
+        _check_count("shots", shots)
     if c.n > STATEVECTOR_GUARD:
         raise GuardExceeded(f"estimator refused for n={c.n} > {STATEVECTOR_GUARD}")
     slots, gamma_total = _build_slots(c, mode)
@@ -621,10 +571,10 @@ def pec_estimate(
 def required_samples(gamma: float, delta: float, epsilon: float) -> int:
     """Hoeffding budget: smallest S with failure probability <= epsilon at
     precision delta, S = ceil(gamma^2 / (2 delta^2) * ln(2/epsilon))."""
-    if gamma < 1.0:
-        raise InvalidArgument(f"gamma must be >= 1, got {gamma}")
-    if delta <= 0.0:
-        raise InvalidArgument(f"delta must be > 0, got {delta}")
+    if not (math.isfinite(gamma) and gamma >= 1.0):
+        raise InvalidArgument(f"gamma must be finite and >= 1, got {gamma}")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise InvalidArgument(f"delta must be finite and > 0, got {delta}")
     if not 0.0 < epsilon <= 2.0:
         raise InvalidArgument(f"epsilon must lie in (0, 2], got {epsilon}")
     return int(math.ceil(gamma * gamma / (2.0 * delta * delta) * math.log(2.0 / epsilon)))

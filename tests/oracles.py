@@ -9,13 +9,24 @@ on every local Z-string of a gate instead of on its generators only.
 ``xcz_kron_unitary`` builds the XCZ matrix from two Kronecker products.
 ``reference_pec_outcomes`` is the estimator's per-trajectory route: every
 distinct row of drawn masks evolved on its own from the all-zeros state.
+
+The simulator's reference kernels contract every gate with ``np.tensordot``
+and apply every Z-mixture through a 2^n x 2^n coherence-factor table gathered
+from a 4^n XOR-pattern index. ``reference_noisy_density``,
+``reference_exact_mitigated`` and ``reference_ideal_state`` are the exact
+evolutions built from them alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from blockpec.blocks import BlockCoefficients, layer_distribution
+from blockpec.blocks import (
+    BlockCoefficients,
+    block_coefficients,
+    hybrid_plan,
+    layer_distribution,
+)
 from blockpec.circuits import Circuit
 from blockpec.conjugation import conjugate_z_string, generator_images
 from blockpec.errors import NotZClosed
@@ -23,15 +34,8 @@ from blockpec.gates import GateOp
 from blockpec.gates import _rz, unitary_of
 from blockpec.noise import ZMixtureChannel, make_dephasing, make_impure
 from blockpec.pauli import PauliZString
-from blockpec.simulate import (
-    Observable,
-    apply_pauli1_density,
-    apply_unitary_density,
-    apply_unitary_state,
-    apply_z_mixture_density,
-    apply_z_string_density,
-    z_sign_vector,
-)
+from blockpec.kernels import PAULI_1Q
+from blockpec.simulate import Observable, z_sign_vector
 
 
 def _support_mask(op: GateOp) -> int:
@@ -120,21 +124,128 @@ def xcz_kron_unitary(theta: float) -> np.ndarray:
     return np.kron(plus, np.eye(2)) + np.kron(minus, _rz(-theta))
 
 
-def _reference_density_outcome(c: Circuit, obs: Observable, row) -> float:
-    rho = np.zeros((1 << c.n, 1 << c.n), dtype=complex)
+def tensordot_unitary_state(psi: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
+    k = len(qubits)
+    tensor = psi.reshape((2,) * n)
+    u_t = u.reshape((2,) * (2 * k))
+    moved = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
+    return np.moveaxis(moved, range(k), qubits).reshape(-1)
+
+
+def tensordot_unitary_density(rho: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
+    dim = 1 << n
+    k = len(qubits)
+    tensor = rho.reshape((2,) * (2 * n))
+    u_t = u.reshape((2,) * (2 * k))
+    # Row side: U rho
+    moved = np.tensordot(u_t, tensor, axes=(list(range(k, 2 * k)), list(qubits)))
+    tensor = np.moveaxis(moved, range(k), qubits)
+    # Column side: ... U^dag
+    cols = [n + q for q in qubits]
+    moved = np.tensordot(u_t.conj(), tensor, axes=(list(range(k, 2 * k)), cols))
+    tensor = np.moveaxis(moved, range(k), cols)
+    return tensor.reshape(dim, dim)
+
+
+def local_pattern_table(support, n: int) -> np.ndarray:
+    """Local coefficient index of each global basis-index XOR pattern."""
+    idx = np.arange(1 << n)
+    table = np.zeros(1 << n, dtype=np.int64)
+    for a, q in enumerate(support):
+        table |= ((idx >> (n - 1 - q)) & 1) << a
+    return table
+
+
+def coherence_factors(mix: ZMixtureChannel, n: int) -> np.ndarray:
+    """The mixture's Walsh-Hadamard eigenvalue at each coherence's XOR
+    pattern (2^n x 2^n)."""
+    lam_local = mix.eigenvalues()
+    table = local_pattern_table(mix.support, n)
+    idx = np.arange(1 << n)
+    return lam_local[table[idx[:, None] ^ idx[None, :]]]
+
+
+def table_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np.ndarray:
+    return rho * coherence_factors(mix, n)
+
+
+def z_sign_matrix(mask: int, n: int) -> np.ndarray:
+    s = z_sign_vector(mask, n)
+    return s[:, None] * s[None, :]
+
+
+def table_pauli1_density(rho: np.ndarray, coeffs, qubit: int, n: int) -> np.ndarray:
+    """Single-qubit Pauli mixture rho -> sum_P c_P P rho P^dag."""
+    out = np.zeros_like(rho)
+    for c, label in zip(coeffs, "IXYZ"):
+        if c == 0.0:
+            continue
+        out = out + c * tensordot_unitary_density(rho, PAULI_1Q[label], (qubit,), n)
+    return out
+
+
+def _reference_op(rho: np.ndarray, op: GateOp, tag, n: int) -> np.ndarray:
+    """One op's unitary, then its noise channel."""
+    rho = tensordot_unitary_density(rho, unitary_of(op), op.qubits, n)
+    if tag is None or tag.is_noiseless():
+        return rho
+    if tag.kind == "impure":
+        forward, _ = make_impure(tag.p, tag.q)
+        for q in op.qubits:
+            rho = table_pauli1_density(rho, forward.coeffs, q, n)
+        return rho
+    return table_z_mixture_density(rho, make_dephasing(tag, tuple(sorted(op.qubits))), n)
+
+
+def _zero_density(n: int) -> np.ndarray:
+    rho = np.zeros((1 << n, 1 << n), dtype=complex)
     rho[0, 0] = 1.0
+    return rho
+
+
+def reference_noisy_density(c: Circuit) -> np.ndarray:
+    rho = _zero_density(c.n)
+    for op, tag in zip(c.ops, c.noise_tags):
+        rho = _reference_op(rho, op, tag, c.n)
+    return rho
+
+
+def reference_ideal_state(c: Circuit) -> np.ndarray:
+    psi = np.zeros(1 << c.n, dtype=complex)
+    psi[0] = 1.0
+    for op in c.ops:
+        psi = tensordot_unitary_state(psi, unitary_of(op), op.qubits, c.n)
+    return psi
+
+
+def reference_exact_mitigated(c: Circuit, obs: Observable, mode: str) -> float:
+    """``exact_mitigated_expectation`` from the reference kernels."""
+    if mode == "std":
+        rho = _zero_density(c.n)
+        for op, tag in zip(c.ops, c.noise_tags):
+            rho = _reference_op(rho, op, tag, c.n)
+            if tag is not None and not tag.is_noiseless():
+                rho = table_z_mixture_density(rho, layer_distribution(op, tag), c.n)
+        return obs.expectation_density(rho)
+    if mode == "blk":
+        coeffs = block_coefficients(c)
+        rho = table_z_mixture_density(reference_noisy_density(c), coeffs.to_mixture(), c.n)
+        return obs.expectation_density(rho)
+    rho = _zero_density(c.n)
+    for seg in hybrid_plan(c).segments:
+        for i in range(seg.start, seg.stop):
+            rho = _reference_op(rho, c.ops[i], c.noise_tags[i], c.n)
+        mix = seg.coeffs.to_mixture() if isinstance(seg.coeffs, BlockCoefficients) else seg.coeffs
+        rho = table_z_mixture_density(rho, mix, c.n)
+    return obs.expectation_density(rho)
+
+
+def _reference_density_outcome(c: Circuit, obs: Observable, row) -> float:
+    rho = _zero_density(c.n)
     for op, tag, mask in zip(c.ops, c.noise_tags, row):
-        rho = apply_unitary_density(rho, unitary_of(op), op.qubits, c.n)
-        if tag is not None and not tag.is_noiseless():
-            if tag.kind == "impure":
-                forward, _ = make_impure(tag.p, tag.q)
-                for q in op.qubits:
-                    rho = apply_pauli1_density(rho, forward.coeffs, q, c.n)
-            else:
-                mix = make_dephasing(tag, tuple(sorted(op.qubits)))
-                rho = apply_z_mixture_density(rho, mix, c.n)
+        rho = _reference_op(rho, op, tag, c.n)
         if mask:
-            rho = apply_z_string_density(rho, int(mask), c.n)
+            rho = rho * z_sign_matrix(int(mask), c.n)
     return obs.expectation_density(rho)
 
 
@@ -142,7 +253,7 @@ def _reference_state_outcome(c: Circuit, obs: Observable, row) -> float:
     psi = np.zeros(1 << c.n, dtype=complex)
     psi[0] = 1.0
     for op, mask in zip(c.ops, row):
-        psi = apply_unitary_state(psi, unitary_of(op), op.qubits, c.n)
+        psi = tensordot_unitary_state(psi, unitary_of(op), op.qubits, c.n)
         if mask:
             psi = psi * z_sign_vector(int(mask), c.n)
     return obs.expectation_state(psi)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import reference_pec_outcomes
 
-from blockpec import simulate
+from blockpec import kernels, simulate
 from blockpec.circuits import Circuit
 from blockpec.gates import GATE_KINDS, GateOp
 from blockpec.noise import NoiseSpec
@@ -89,8 +89,8 @@ def test_blk_rows_share_everything_but_the_last_op():
     comb = np.zeros((64, 3), dtype=np.int64)
     comb[:, 2] = np.arange(64) % 16
     obs = Observable.z(4, 3)
-    kernel = simulate.apply_unitary_density
-    with mock.patch.object(simulate, "apply_unitary_density", wraps=kernel) as spy:
+    kernel = kernels.dense
+    with mock.patch.object(kernels, "dense", wraps=kernel) as spy:
         got = _trajectory_outcomes(c, obs, comb, True)
     assert spy.call_count == len(ops)
     assert got.tobytes() == reference_pec_outcomes(c, obs, comb, True).tobytes()

@@ -380,6 +380,61 @@ def test_required_samples():
         required_samples(1.0, 0.1, 2.5)
 
 
+@pytest.mark.parametrize(
+    "gamma, delta",
+    [(math.nan, 0.1), (math.inf, 0.1), (1.5, math.nan), (1.5, math.inf), (math.nan, math.nan)],
+)
+def test_required_samples_refuses_non_finite_inputs(gamma, delta):
+    with pytest.raises(InvalidArgument):
+        required_samples(gamma, delta, 0.05)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Observable.z(3, -1),
+        lambda: Observable.z(3, 3),
+        lambda: Observable.z(3, 1.0),
+        lambda: Observable.qubit_one_projector(3, 7),
+        lambda: Observable.qubit_one_projector(3, -1),
+        lambda: Observable.qubit_one_projector(3, True),
+        lambda: Observable.projector(3, [9]),
+        lambda: Observable.projector(3, [-1]),
+        lambda: Observable.projector(3, [0.5]),
+    ],
+    ids=[
+        "z-negative", "z-too-large", "z-float", "qubit-one-too-large", "qubit-one-negative",
+        "qubit-one-bool", "projector-too-large", "projector-negative", "projector-float",
+    ],
+)
+def test_observable_constructors_refuse_bad_indices(make):
+    with pytest.raises(InvalidArgument):
+        make()
+
+
+def test_observable_constructors_accept_numpy_indices():
+    assert Observable.z(3, np.int64(2)).payload.mask == 0b100
+    assert list(Observable.projector(2, np.array([1, 3])).payload) == [False, True, False, True]
+    assert Observable.qubit_one_projector(3, np.int32(2)).payload.sum() == 4
+
+
+@pytest.mark.parametrize(
+    "n_samples, shots",
+    [(True, None), (np.bool_(True), None), (10.0, None), (10, 2.5), (10, True), (10, "4")],
+)
+def test_pec_estimate_refuses_non_integer_counts(n_samples, shots):
+    c = _bell_pair().with_noise(P01)
+    with pytest.raises(InvalidSamples):
+        pec_estimate(c, Observable.z(2, 0), "std", n_samples, 1, shots=shots)
+
+
+def test_pec_estimate_accepts_numpy_integer_counts():
+    c = _bell_pair().with_noise(P01)
+    obs = Observable.z(2, 0)
+    plain = pec_estimate(c, obs, "std", 40, 3, shots=8)
+    assert pec_estimate(c, obs, "std", np.int64(40), 3, shots=np.int32(8)) == plain
+
+
 def test_estimator_report_serialization():
     c = _bell_pair().with_noise(P01)
     report = pec_estimate(c, Observable.z(2, 0), "hybrid", 64, 12)
