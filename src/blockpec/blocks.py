@@ -2,9 +2,9 @@
 
 Standard PEC inverts each gate's noise right where it acts; the block engine
 commutes every per-gate correction to the end of a compatible block and
-aggregates them into a single signed distribution over the 2^n phase-flip
-strings. Aggregation can only shrink the L1 norm (triangle inequality), so
-gamma_blk <= gamma_std.
+aggregates them into a single signed distribution over phase-flip strings: a
+``ZMixtureChannel`` on the qubits the block's noise reaches. Aggregation can
+only shrink the L1 norm (triangle inequality), so gamma_blk <= gamma_std.
 """
 
 from __future__ import annotations
@@ -30,8 +30,13 @@ from .noise import (
     make_dephasing,
 )
 
-_DENSE_GUARD_QUBITS = 20
-_NAIVE_GUARD = 16
+# Widest block correction built: a block whose noise reaches more qubits
+# raises GuardExceeded before any 2^r array exists.
+_REACH_GUARD_QUBITS = 20
+
+# Block coefficients are Z-mixtures; the old name stays importable because
+# perfbench/workloads.py uses it.
+BlockCoefficients = ZMixtureChannel
 
 
 def layer_distribution(g: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
@@ -41,38 +46,6 @@ def layer_distribution(g: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
     if spec is None or spec.is_noiseless():
         return ZMixtureChannel.identity(support)
     return invert_z_mixture(make_dephasing(spec, support))
-
-
-@dataclass(frozen=True)
-class BlockCoefficients:
-    """Signed coefficients over all 2^n phase-flip strings of a block."""
-
-    n: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (1 << self.n,):
-            raise InvalidArgument(
-                f"need 2^{self.n} coefficients, got shape {coeffs.shape}"
-            )
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def gamma(self) -> float:
-        return float(np.abs(self.coeffs).sum())
-
-    def total(self) -> float:
-        return float(self.coeffs.sum())
-
-    def to_mixture(self) -> ZMixtureChannel:
-        return ZMixtureChannel(tuple(range(self.n)), self.coeffs.copy())
-
-
-def _support_mask(op: GateOp) -> int:
-    mask = 0
-    for q in op.qubits:
-        mask |= 1 << q
-    return mask
 
 
 def _global_masks(dist: ZMixtureChannel) -> np.ndarray:
@@ -177,9 +150,9 @@ def _span_basis(rows) -> list[int]:
     return [basis[p] for p in pivots]
 
 
-def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> np.ndarray:
-    """Dense 2^n coefficients of the block's effective noise (sign=+1) or of
-    its inverse (sign=-1), computed in the Walsh (eigenvalue) domain.
+def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> ZMixtureChannel:
+    """The block's effective noise (sign=+1) or its inverse (sign=-1) as a
+    Z-mixture, computed in the Walsh (eigenvalue) domain.
 
     Walking the ops backward keeps pushed[q], the mask that Z_q at the
     current point becomes at the block's end. A noisy op's channel, pushed to
@@ -188,43 +161,47 @@ def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> np.ndarray:
     channel's log-eigenvalues are therefore the Walsh transform of the
     histogram of g over those masks. Every mask lies in the GF(2) span of the
     pushed rows, so the histogram and both transforms live on the 2^r
-    coordinates of that span (r <= the number of qubits the ops touch). The
-    result is scattered into the dense vector at the end, and masks outside
-    the span stay exactly 0.
+    coordinates of that span. The result is scattered into the 2^m local
+    vector of the m qubits the span's masks touch (r <= m <= the qubits the
+    ops touch); masks outside the span stay exactly 0.
     """
-    if c.n > _DENSE_GUARD_QUBITS:
-        raise GuardExceeded(
-            f"dense 2^n coefficient vector refused for n={c.n} > "
-            f"{_DENSE_GUARD_QUBITS}"
-        )
     # Compile in circuit order so that the first offending op raises.
     compiled = [
         (tables.local_images(op), tables.log_walsh(op, tag))
         for op, tag in zip(c.ops, c.noise_tags)
     ]
     pushed = [1 << q for q in range(c.n)]
+    # Per arity m: the pushed masks of each noisy op's sorted qubits (m per
+    # op, flat) and the op's Walsh weights.
     rows_by_arity: dict[int, tuple[list, list]] = {}
     for op, (images, g_hat) in zip(reversed(c.ops), reversed(compiled)):
         if g_hat is not None:
             rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
-            rows.append([pushed[q] for q in sorted(op.qubits)])
+            rows.extend(pushed[q] for q in sorted(op.qubits))
             weights.append(g_hat)
         if images is not None:
             before = [pushed[q] for q in op.qubits]
             for q, image in zip(op.qubits, images):
                 pushed[q] = _xor_of(before, image)
-    basis = _span_basis(
-        {mask for rows, _ in rows_by_arity.values() for row in rows for mask in row}
-    )
+    masks = {mask for rows, _ in rows_by_arity.values() for mask in rows}
+    basis = _span_basis(masks)
+    reach = 0
+    for b in basis:
+        reach |= b
+    support = tuple(q for q in range(reach.bit_length()) if reach >> q & 1)
+    if len(support) > _REACH_GUARD_QUBITS:
+        raise GuardExceeded(
+            f"block noise reaches {len(support)} qubits > {_REACH_GUARD_QUBITS}"
+        )
+    # A span element's coordinates are its pivot bits.
+    pivots = [b.bit_length() - 1 for b in basis]
+    coord = {mask: sum(1 << j for j, p in enumerate(pivots) if mask >> p & 1) for mask in masks}
     size = 1 << len(basis)
     hist = np.zeros(size)
     for m, (rows, weights) in sorted(rows_by_arity.items()):
-        rows = np.array(rows, dtype=np.int64)
-        coords = np.zeros_like(rows)
-        for j, b in enumerate(basis):
-            coords |= ((rows >> (b.bit_length() - 1)) & 1) << j
+        coords = np.fromiter(map(coord.get, rows), np.int64, len(rows)).reshape(-1, m)
         local = np.arange(1 << m)
-        index = np.zeros((len(rows), 1 << m), dtype=np.int64)
+        index = np.zeros((len(coords), 1 << m), dtype=np.int64)
         for i in range(m):
             index ^= ((local >> i) & 1)[None, :] * coords[:, i : i + 1]
         hist += np.bincount(
@@ -234,67 +211,38 @@ def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> np.ndarray:
         coeffs = fwht(np.exp(sign * fwht(hist))) / size
     if not np.isfinite(coeffs).all():
         raise GuardExceeded("block coefficients overflow float64")
-    masks = np.zeros(1, dtype=np.int64)
+    # Span element k (bit j = basis row j) goes to its mask's local index.
+    index = np.zeros(1, dtype=np.int64)
     for b in basis:
-        masks = np.concatenate([masks, masks ^ b])
-    out = np.zeros(1 << c.n)
-    out[masks] = coeffs
-    return out
+        local_b = sum(1 << i for i, q in enumerate(support) if b >> q & 1)
+        index = np.concatenate([index, index ^ local_b])
+    out = np.zeros(1 << len(support))
+    out[index] = coeffs
+    return ZMixtureChannel(support, out)
 
 
-def block_coefficients(c: Circuit) -> BlockCoefficients:
-    """Aggregated control-layer coefficients of a fully compatible block.
+def block_coefficients(c: Circuit) -> ZMixtureChannel:
+    """Aggregated control-layer coefficients of a fully compatible block, as
+    a signed Z-mixture on the qubits the block's noise reaches (ascending).
 
     Computed in the Walsh domain (see ``_walsh_engine``): O(d) bookkeeping
     over the ops plus two transforms of length 2^r, r <= the number of
-    qubits the ops touch. The result is still a dense 2^n vector, hence the
-    n <= 20 guard. Raises NotZClosed on incompatible gates, SingularChannel
-    on non-invertible noise, UnsupportedKind on impure noise, GuardExceeded
-    for n > 20 or for coefficients that overflow float64.
+    qubits the noise reaches. Raises NotZClosed on incompatible gates,
+    SingularChannel on non-invertible noise, UnsupportedKind on impure noise,
+    GuardExceeded when the noise reaches more than 20 qubits or the
+    coefficients overflow float64.
     """
-    return BlockCoefficients(c.n, _walsh_engine(c, _GateTables(c.n), -1.0))
+    return _walsh_engine(c, _GateTables(c.n), -1.0)
 
 
 def effective_noise(c: Circuit) -> ZMixtureChannel:
     """All per-gate noise channels commuted to the end and composed: the
-    single Z-mixture N_eff with (noisy circuit) = N_eff o (ideal circuit).
+    single Z-mixture N_eff with (noisy circuit) = N_eff o (ideal circuit),
+    on the qubits the noise reaches.
 
     The same Walsh-domain computation as block_coefficients, with the
     log-eigenvalues taken positive instead of negated."""
-    return ZMixtureChannel(tuple(range(c.n)), _walsh_engine(c, _GateTables(c.n), 1.0))
-
-
-def naive_block_coefficients(c: Circuit) -> BlockCoefficients:
-    """Brute-force oracle: enumerate every tuple of per-layer controls,
-    commute each control individually to the end, XOR-compose and accumulate
-    the coefficient products. Exponential; guarded by n*d <= 16."""
-    d = len(c.ops)
-    if c.n * d > _NAIVE_GUARD:
-        raise GuardExceeded(
-            f"naive enumeration refused for n*d = {c.n * d} > {_NAIVE_GUARD}"
-        )
-    size = 1 << c.n
-    op_images = [generator_images(op, c.n) for op in c.ops]
-
-    def push(mask: int, start: int) -> int:
-        for op, imgs in zip(c.ops[start:], op_images[start:]):
-            moved = mask & ~_support_mask(op)
-            for q in op.qubits:
-                if mask >> q & 1:
-                    moved ^= imgs[q]
-            mask = moved
-        return mask
-
-    acc_masks = np.zeros(1, dtype=np.int64)
-    acc_coeffs = np.ones(1)
-    for l, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
-        dist = layer_distribution(op, tag)
-        gmasks = _global_masks(dist)
-        pushed = np.array([push(int(m), l + 1) for m in gmasks], dtype=np.int64)
-        acc_masks = (acc_masks[:, None] ^ pushed[None, :]).ravel()
-        acc_coeffs = (acc_coeffs[:, None] * dist.coeffs[None, :]).ravel()
-    vec = np.bincount(acc_masks, weights=acc_coeffs, minlength=size)
-    return BlockCoefficients(c.n, vec)
+    return _walsh_engine(c, _GateTables(c.n), 1.0)
 
 
 def gamma_std(c: Circuit) -> float:
@@ -313,7 +261,7 @@ def gamma_blk(c: Circuit) -> float:
 
 
 def fold_noisy_controls(
-    b: BlockCoefficients, spec: NoiseSpec | None
+    b: ZMixtureChannel, spec: NoiseSpec | None
 ) -> ZMixtureChannel:
     """Rewrite the perfect-control distribution over noisy controls.
 
@@ -321,23 +269,21 @@ def fold_noisy_controls(
     followed by V', so the perfect V' expands with the inverse of that
     dephasing: beta_{V'}(W) = inv(W xor V'). The identity control needs no
     gate and stays noiseless. Its L1 norm can only grow: gamma(delta) >=
-    gamma(alpha).
+    gamma(alpha). The inverse depends only on how many qubits V' touches, so
+    it is built on the local bit positions of V' and XORed into local masks.
     """
-    size = 1 << b.n
     if spec is None or spec.is_noiseless():
-        return ZMixtureChannel(tuple(range(b.n)), b.coeffs.copy())
-    delta = np.zeros(size)
+        return ZMixtureChannel(b.support, b.coeffs.copy())
+    delta = np.zeros(len(b.coeffs))
     delta[0] = b.coeffs[0]
-    for mask in np.flatnonzero(b.coeffs):
-        mask = int(mask)
+    for mask in np.flatnonzero(b.coeffs).tolist():
         if mask == 0:
             continue
-        support = tuple(q for q in range(b.n) if mask >> q & 1)
-        inv = invert_z_mixture(make_dephasing(spec, support))
-        gmasks = _global_masks(inv)
-        for gmask, beta in zip(gmasks, inv.coeffs):
-            delta[mask ^ gmask] += b.coeffs[mask] * beta
-    return ZMixtureChannel(tuple(range(b.n)), delta)
+        positions = tuple(i for i in range(b.m) if mask >> i & 1)
+        inv = invert_z_mixture(make_dephasing(spec, positions))
+        for local, beta in zip(_global_masks(inv), inv.coeffs):
+            delta[mask ^ local] += b.coeffs[mask] * beta
+    return ZMixtureChannel(b.support, delta)
 
 
 @dataclass(frozen=True)
@@ -346,7 +292,7 @@ class PlanSegment:
     start: int
     stop: int
     gamma: float
-    coeffs: BlockCoefficients | ZMixtureChannel
+    coeffs: ZMixtureChannel
 
 
 @dataclass(frozen=True)
@@ -360,16 +306,10 @@ class MitigationPlan:
     def to_json(self) -> str:
         payload = []
         for seg in self.segments:
-            if isinstance(seg.coeffs, BlockCoefficients):
-                coeffs = seg.coeffs.coeffs
-                gmasks = np.arange(len(coeffs), dtype=np.int64)
-            else:
-                coeffs = seg.coeffs.coeffs
-                gmasks = _global_masks(seg.coeffs)
+            bits = [1 << q for q in seg.coeffs.support]
             pairs = [
-                [int(m), float(vv)]
-                for m, vv in zip(gmasks, coeffs)
-                if vv != 0.0
+                [_xor_of(bits, i), float(seg.coeffs.coeffs[i])]
+                for i in np.flatnonzero(seg.coeffs.coeffs).tolist()
             ]
             payload.append(
                 {
@@ -395,9 +335,7 @@ def hybrid_plan(c: Circuit) -> MitigationPlan:
     while i < len(c.ops):
         if i in runs:
             start, stop = i, runs[i]
-            coeffs = BlockCoefficients(
-                c.n, _walsh_engine(c.subcircuit(start, stop), tables, -1.0)
-            )
+            coeffs = _walsh_engine(c.subcircuit(start, stop), tables, -1.0)
             g = coeffs.gamma()
             segments.append(PlanSegment("block", start, stop, g, coeffs))
             i = stop

@@ -48,6 +48,8 @@ class ExperimentConfig:
             raise InvalidArgument("seeds must be non-empty")
         if self.interaction not in ("rzz", "rbs"):
             raise InvalidArgument(f"interaction must be 'rzz' or 'rbs', got {self.interaction!r}")
+        if not math.isfinite(self.depth_factor):
+            raise InvalidArgument(f"depth_factor must be finite, got {self.depth_factor}")
 
     @property
     def ns(self) -> range:

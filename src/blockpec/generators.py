@@ -88,8 +88,8 @@ def gen_swap_network(
         raise InvalidArgument(f"swap_network needs n >= 2, got {n}")
     if interaction not in ("rzz", "rbs"):
         raise InvalidArgument(f"interaction must be 'rzz' or 'rbs', got {interaction!r}")
-    if depth_factor <= 0:
-        raise InvalidArgument(f"depth_factor must be positive, got {depth_factor}")
+    if not (math.isfinite(depth_factor) and depth_factor > 0):
+        raise InvalidArgument(f"depth_factor must be finite and positive, got {depth_factor}")
     rng = _rng(seed, "swap_network")
     ops = []
     for layer in range(int(round(depth_factor * n))):

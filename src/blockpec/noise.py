@@ -11,6 +11,7 @@ pointwise reciprocal.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +59,8 @@ class NoiseSpec:
                     "at p = 0.5)"
                 )
         if self.kind == "impure":
-            if self.q is None or self.q < 0:
-                raise InvalidArgument("impure noise requires q >= 0")
+            if self.q is None or not (math.isfinite(self.q) and self.q >= 0):
+                raise InvalidArgument(f"impure noise requires a finite q >= 0, got {self.q}")
             object.__setattr__(self, "q", float(self.q))
 
     def is_noiseless(self) -> bool:
@@ -236,15 +237,15 @@ def make_impure(p: float, q: float, qubit: int = 0) -> tuple[PauliMixture, Pauli
     """Dephasing-dominated channel with a tunable depolarizing admixture.
 
     Forward coefficients: I: 1-p, X: r, Y: r, Z: p(3q+1)/(3(q+1)) with
-    r = p/(3(q+1)); q=0 is depolarizing, q -> infinity is pure dephasing.
+    r = p/(3(q+1)); q=0 is depolarizing, large q approaches pure dephasing.
     Returns (forward, closed-form inverse); the inverse is the standard
     first-order closed form gamma_1*((1-p)I - zc*Z - r*(X+Y)), exact only in
     the pure-dephasing limit.
     """
     if not 0.0 <= p < 0.5:
         raise InvalidArgument(f"p must lie in [0, 0.5), got {p}")
-    if q < 0:
-        raise InvalidArgument(f"q must be >= 0, got {q}")
+    if not (math.isfinite(q) and q >= 0):
+        raise InvalidArgument(f"q must be finite and >= 0, got {q}")
     r = p / (3.0 * (q + 1.0))
     zc = p * (3.0 * q + 1.0) / (3.0 * (q + 1.0))
     forward = PauliMixture(qubit, np.array([1.0 - p, r, r, zc]))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import (
-    BlockCoefficients,
     _global_masks,
     block_coefficients,
     hybrid_plan,
@@ -45,7 +44,6 @@ from .pauli import PauliZString
 
 STATEVECTOR_GUARD = 14
 DENSITY_GUARD = 10
-_ENUM_GUARD = 1 << 16
 
 
 def apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
@@ -64,10 +62,6 @@ def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np
     """Apply a (possibly signed) Z-mixture: multiply each coherence by the
     mixture's Walsh-Hadamard eigenvalue at that XOR pattern."""
     return run(rho, mixture_step(mix, n))
-
-
-def apply_block_mixture_density(rho: np.ndarray, b: BlockCoefficients) -> np.ndarray:
-    return apply_z_mixture_density(rho, b.to_mixture(), b.n)
 
 
 def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
@@ -169,6 +163,8 @@ class Observable:
         n = dim.bit_length() - 1
         if m.shape != (dim, dim) or (1 << n) != dim:
             raise InvalidArgument(f"dense observable needs a 2^n square matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise InvalidArgument("dense observable entries must be finite")
         if np.abs(m - m.conj().T).max() > 1e-10:
             raise InvalidArgument("dense observable must be Hermitian")
         norm = float(np.abs(np.linalg.eigvalsh(m)).max())
@@ -226,15 +222,6 @@ def noisy_expectation(c: Circuit, obs: Observable) -> float:
     return obs.expectation_density(_evolve_noisy_density(c))
 
 
-def _std_enum_size(c: Circuit) -> int:
-    """Product of noisy-layer support sizes (the std-mode feasibility guard)."""
-    size = 1
-    for op, tag in zip(c.ops, c.noise_tags):
-        if tag is not None and not tag.is_noiseless():
-            size *= op.arity
-    return size
-
-
 def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float:
     """Full quasi-probability-weighted sum of noisy expectations.
 
@@ -258,8 +245,6 @@ def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float
     if c.n > DENSITY_GUARD:
         raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
     if mode == "std":
-        if _std_enum_size(c) > _ENUM_GUARD:
-            raise GuardExceeded("standard-mode control enumeration too large")
         program = _Program(c, density=True)
         rho = _zero_density(c.n)
         for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
@@ -274,16 +259,13 @@ def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float
     if mode == "blk":
         coeffs = block_coefficients(c)
         rho = _evolve_noisy_density(c)
-        return obs.expectation_density(apply_block_mixture_density(rho, coeffs))
+        return obs.expectation_density(apply_z_mixture_density(rho, coeffs, c.n))
     plan = hybrid_plan(c)
     program = _Program(c, density=True)
     rho = _zero_density(c.n)
     for seg in plan.segments:
         rho = program.evolve(rho, seg.start, seg.stop)
-        if isinstance(seg.coeffs, BlockCoefficients):
-            rho = apply_block_mixture_density(rho, seg.coeffs)
-        else:
-            rho = apply_z_mixture_density(rho, seg.coeffs, c.n)
+        rho = apply_z_mixture_density(rho, seg.coeffs, c.n)
     return obs.expectation_density(rho)
 
 
@@ -341,37 +323,24 @@ def _make_slot(after_op: int, gmasks: np.ndarray, coeffs: np.ndarray) -> _Slot |
 
 
 def _build_slots(c: Circuit, mode: str) -> tuple[list[_Slot], float]:
+    if mode == "std":
+        pairs = [
+            (i, layer_distribution(op, tag))
+            for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags))
+        ]
+    elif mode == "blk":
+        pairs = [(len(c.ops) - 1, block_coefficients(c))]
+    elif mode == "hybrid":
+        pairs = [(seg.stop - 1, seg.coeffs) for seg in hybrid_plan(c).segments]
+    else:
+        raise InvalidArgument(f"unknown mode {mode!r}")
     slots: list[_Slot] = []
     gamma_total = 1.0
-    if mode == "std":
-        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
-            dist = layer_distribution(op, tag)
-            slot = _make_slot(i, _global_masks(dist), dist.coeffs)
-            if slot is not None:
-                slots.append(slot)
-                gamma_total *= slot.gamma
-    elif mode == "blk":
-        b = block_coefficients(c)
-        slot = _make_slot(
-            len(c.ops) - 1, np.arange(1 << c.n, dtype=np.int64), b.coeffs
-        )
+    for after_op, mix in pairs:
+        slot = _make_slot(after_op, _global_masks(mix), mix.coeffs)
         if slot is not None:
             slots.append(slot)
             gamma_total *= slot.gamma
-    elif mode == "hybrid":
-        for seg in hybrid_plan(c).segments:
-            if isinstance(seg.coeffs, BlockCoefficients):
-                gmasks = np.arange(1 << c.n, dtype=np.int64)
-                coeffs = seg.coeffs.coeffs
-            else:
-                gmasks = _global_masks(seg.coeffs)
-                coeffs = seg.coeffs.coeffs
-            slot = _make_slot(seg.stop - 1, gmasks, coeffs)
-            if slot is not None:
-                slots.append(slot)
-                gamma_total *= slot.gamma
-    else:
-        raise InvalidArgument(f"unknown mode {mode!r}")
     return slots, gamma_total
 
 

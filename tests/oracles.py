@@ -4,7 +4,9 @@ computation.
 ``forward_block_coefficients`` and ``forward_effective_noise`` push a dense
 2^n mask distribution forward through the circuit, permuting it through each
 op and XOR-convolving it with that op's own distribution: O(d * 2^n * 2^m)
-work, simple enough to trust. ``all_strings_z_compatible`` checks Z-closure
+work, simple enough to trust. ``naive_block_coefficients`` enumerates every
+tuple of per-layer controls instead. All three return full-support mixtures;
+``dense`` scatters the engine's local mixtures to the same 2^n layout. ``all_strings_z_compatible`` checks Z-closure
 on every local Z-string of a gate instead of on its generators only.
 ``xcz_kron_unitary`` builds the XCZ matrix from two Kronecker products.
 ``reference_pec_outcomes`` is the estimator's per-trajectory route: every
@@ -22,20 +24,22 @@ from __future__ import annotations
 import numpy as np
 
 from blockpec.blocks import (
-    BlockCoefficients,
     block_coefficients,
     hybrid_plan,
     layer_distribution,
 )
 from blockpec.circuits import Circuit
 from blockpec.conjugation import conjugate_z_string, generator_images
-from blockpec.errors import NotZClosed
+from blockpec.errors import GuardExceeded, NotZClosed
 from blockpec.gates import GateOp
 from blockpec.gates import _rz, unitary_of
 from blockpec.noise import ZMixtureChannel, make_dephasing, make_impure
 from blockpec.pauli import PauliZString
 from blockpec.kernels import PAULI_1Q
 from blockpec.simulate import Observable, z_sign_vector
+
+
+_NAIVE_GUARD = 16
 
 
 def _support_mask(op: GateOp) -> int:
@@ -49,6 +53,13 @@ def _global_masks(dist: ZMixtureChannel) -> np.ndarray:
     out = np.zeros(len(dist.coeffs), dtype=np.int64)
     for i, q in enumerate(dist.support):
         out |= ((np.arange(len(dist.coeffs)) >> i) & 1) << q
+    return out
+
+
+def dense(mix: ZMixtureChannel, n: int) -> np.ndarray:
+    """The mixture's coefficients over all 2^n global masks."""
+    out = np.zeros(1 << n)
+    out[_global_masks(mix)] = mix.coeffs
     return out
 
 
@@ -90,8 +101,8 @@ def forward_accumulation(c: Circuit, dist_of) -> np.ndarray:
     return vec
 
 
-def forward_block_coefficients(c: Circuit) -> BlockCoefficients:
-    return BlockCoefficients(c.n, forward_accumulation(c, layer_distribution))
+def forward_block_coefficients(c: Circuit) -> ZMixtureChannel:
+    return ZMixtureChannel(tuple(range(c.n)), forward_accumulation(c, layer_distribution))
 
 
 def forward_effective_noise(c: Circuit) -> ZMixtureChannel:
@@ -101,6 +112,38 @@ def forward_effective_noise(c: Circuit) -> ZMixtureChannel:
         return make_dephasing(tag, tuple(sorted(op.qubits)))
 
     return ZMixtureChannel(tuple(range(c.n)), forward_accumulation(c, forward))
+
+
+def naive_block_coefficients(c: Circuit) -> ZMixtureChannel:
+    """Brute-force oracle: enumerate every tuple of per-layer controls,
+    commute each control individually to the end, XOR-compose and accumulate
+    the coefficient products. Exponential; guarded by n*d <= 16."""
+    d = len(c.ops)
+    if c.n * d > _NAIVE_GUARD:
+        raise GuardExceeded(
+            f"naive enumeration refused for n*d = {c.n * d} > {_NAIVE_GUARD}"
+        )
+    op_images = [generator_images(op, c.n) for op in c.ops]
+
+    def push(mask: int, start: int) -> int:
+        for op, imgs in zip(c.ops[start:], op_images[start:]):
+            moved = mask & ~_support_mask(op)
+            for q in op.qubits:
+                if mask >> q & 1:
+                    moved ^= imgs[q]
+            mask = moved
+        return mask
+
+    acc_masks = np.zeros(1, dtype=np.int64)
+    acc_coeffs = np.ones(1)
+    for l, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
+        dist = layer_distribution(op, tag)
+        gmasks = _global_masks(dist)
+        pushed = np.array([push(int(m), l + 1) for m in gmasks], dtype=np.int64)
+        acc_masks = (acc_masks[:, None] ^ pushed[None, :]).ravel()
+        acc_coeffs = (acc_coeffs[:, None] * dist.coeffs[None, :]).ravel()
+    vec = np.bincount(acc_masks, weights=acc_coeffs, minlength=1 << c.n)
+    return ZMixtureChannel(tuple(range(c.n)), vec)
 
 
 def all_strings_z_compatible(g: GateOp) -> bool:
@@ -229,14 +272,13 @@ def reference_exact_mitigated(c: Circuit, obs: Observable, mode: str) -> float:
         return obs.expectation_density(rho)
     if mode == "blk":
         coeffs = block_coefficients(c)
-        rho = table_z_mixture_density(reference_noisy_density(c), coeffs.to_mixture(), c.n)
+        rho = table_z_mixture_density(reference_noisy_density(c), coeffs, c.n)
         return obs.expectation_density(rho)
     rho = _zero_density(c.n)
     for seg in hybrid_plan(c).segments:
         for i in range(seg.start, seg.stop):
             rho = _reference_op(rho, c.ops[i], c.noise_tags[i], c.n)
-        mix = seg.coeffs.to_mixture() if isinstance(seg.coeffs, BlockCoefficients) else seg.coeffs
-        rho = table_z_mixture_density(rho, mix, c.n)
+        rho = table_z_mixture_density(rho, seg.coeffs, c.n)
     return obs.expectation_density(rho)
 
 

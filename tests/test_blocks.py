@@ -1,15 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 from conftest import EXACT_KINDS, random_circuit
-from oracles import forward_block_coefficients
+from oracles import dense, forward_block_coefficients, naive_block_coefficients
 
 from blockpec.blocks import (
-    BlockCoefficients,
     MitigationPlan,
     analytic_pattern_gammas,
     block_coefficients,
@@ -19,7 +19,6 @@ from blockpec.blocks import (
     gamma_std,
     hybrid_plan,
     layer_distribution,
-    naive_block_coefficients,
     pattern_circuit,
 )
 from blockpec.circuits import Circuit
@@ -30,7 +29,8 @@ from blockpec.errors import (
     Unsupported,
 )
 from blockpec.gates import GateOp
-from blockpec.noise import NoiseSpec, ZMixtureChannel, invert_z_mixture
+from blockpec.generators import gen_option_payoff
+from blockpec.noise import NoiseSpec, invert_z_mixture
 
 P01 = NoiseSpec("uncorrelated", 0.1)
 
@@ -108,9 +108,9 @@ def test_three_way_oracle_agreement():
         kind = "correlated" if trial % 3 == 0 else "uncorrelated"
         spec = NoiseSpec(kind, float(rng.uniform(0.01, 0.3)))
         c = random_circuit(rng, n, depth).with_noise(spec)
-        recursive = block_coefficients(c).coeffs
+        recursive = dense(block_coefficients(c), n)
         naive = naive_block_coefficients(c).coeffs
-        via_effective = invert_z_mixture(effective_noise(c)).coeffs
+        via_effective = dense(invert_z_mixture(effective_noise(c)), n)
         forward = forward_block_coefficients(c).coeffs
         scale = max(1.0, float(np.abs(recursive).max()))
         assert np.abs(recursive - naive).max() < 1e-12 * scale
@@ -150,7 +150,6 @@ def test_block_channel_identity():
     # Summing the aggregated controls against the noisy circuit reproduces
     # the ideal circuit as a channel, entrywise on all basis matrices.
     from blockpec.simulate import (
-        apply_block_mixture_density,
         apply_unitary_density,
         apply_z_mixture_density,
     )
@@ -178,7 +177,7 @@ def test_block_channel_identity():
                 noisy = apply_unitary_density(noisy, u, op.qubits, 2)
                 mix = make_dephasing(tag, tuple(sorted(op.qubits)))
                 noisy = apply_z_mixture_density(noisy, mix, 2)
-            mitigated = apply_block_mixture_density(noisy, b)
+            mitigated = apply_z_mixture_density(noisy, b, 2)
             assert np.abs(mitigated - ideal).max() < 1e-10
 
 
@@ -258,11 +257,29 @@ def test_hybrid_between_blk_and_std():
 
 
 def test_guards():
+    # The noise of a 20-CNOT chain reaches all 21 qubits.
+    chain = Circuit(21, tuple(GateOp("CNOT", (q, q + 1)) for q in range(20)))
     with pytest.raises(GuardExceeded):
-        block_coefficients(Circuit(21, ()))
+        block_coefficients(chain.with_noise(P01))
     c = Circuit(3, tuple(GateOp("CNOT", (0, 1)) for _ in range(6))).with_noise(P01)
     with pytest.raises(GuardExceeded):
         naive_block_coefficients(c)  # n*d = 18 > 16
+
+
+def test_block_costs_past_20_qubits():
+    # Each block of the 24-qubit payoff circuit reaches at most 2 qubits, so
+    # its corrections stay small although the register is wide.
+    c = gen_option_payoff(24, seed=0).with_noise(P01)
+    plan = hybrid_plan(c)
+    assert math.isfinite(plan.total_gamma)
+    assert plan.total_gamma <= gamma_std(c) * (1.0 + 1e-12)
+    product = math.prod(seg.gamma for seg in plan.segments)
+    assert abs(plan.total_gamma - product) <= 1e-12 * product
+    assert max(seg.coeffs.m for seg in plan.segments) <= 2
+    for seg in json.loads(plan.to_json())["segments"]:
+        masks = [mask for mask, _ in seg["coeffs"]]
+        assert masks == sorted(set(masks))
+    assert block_coefficients(Circuit(21, ())).coeffs.tolist() == [1.0]
 
 
 def test_overflowing_costs_raise_guard():
@@ -296,16 +313,6 @@ def test_analytic_pattern_errors():
         analytic_pattern_gammas("c", 0.1, correlated=True)
     with pytest.raises(InvalidArgument):
         pattern_circuit("d")
-
-
-def test_block_coefficients_validation():
-    with pytest.raises(InvalidArgument):
-        BlockCoefficients(2, np.ones(3))
-    b = BlockCoefficients(1, np.array([1.125, -0.125]))
-    mix = b.to_mixture()
-    assert isinstance(mix, ZMixtureChannel)
-    assert mix.support == (0,)
-    assert np.array_equal(mix.coeffs, b.coeffs)
 
 
 def test_effective_noise_is_convex_channel():

@@ -201,6 +201,13 @@ def test_experiment_accepts_negative_seed(tmp_path, capfd):
     assert [row["seed"] for row in rows] == ["-1", "-1"]
 
 
+def test_experiment_rejects_non_finite_depth_factor(tmp_path, capsys):
+    for value in (float("nan"), float("inf")):
+        cfg = _write_config(tmp_path, family="swap_network", depth_factor=value)
+        assert main(["experiment", "--config", cfg]) == 4
+        assert "depth_factor" in capsys.readouterr().err
+
+
 def test_singular_exit(diag_circuit, capsys, monkeypatch):
     def boom(path, noise_json):
         raise SingularChannel("channel is not invertible")

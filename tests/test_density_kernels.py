@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     coherence_factors,
+    dense,
     reference_exact_mitigated,
     reference_ideal_state,
     reference_noisy_density,
@@ -132,7 +133,8 @@ def _support_mixtures(n):
 
 def _block_mixtures(n, rng):
     """Block coefficients of random compatible circuits whose noise sits on
-    a subset of the qubits, or on all of them."""
+    a subset of the qubits, or on all of them: the engine's mixture on the
+    qubits the noise reaches, and the same coefficients on all n qubits."""
     kinds = ("X", "Z", "S", "CZ", "CNOT", "SWAP", "RZ", "RZZ")
     for noisy in (1, n):
         ops, tags = [], []
@@ -146,7 +148,9 @@ def _block_mixtures(n, rng):
             flagged = max(qubits) < noisy
             tags.append(NoiseSpec("uncorrelated", 0.05) if flagged else None)
         if ops:
-            yield block_coefficients(Circuit(n, tuple(ops), tuple(tags))).to_mixture()
+            mix = block_coefficients(Circuit(n, tuple(ops), tuple(tags)))
+            yield mix
+            yield ZMixtureChannel(tuple(range(n)), dense(mix, n))
 
 
 @pytest.mark.parametrize("slack", [None, 0])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -47,6 +48,18 @@ def test_config_validation():
         _cfg(seeds=())
     with pytest.raises(InvalidArgument):
         _cfg(interaction="xy")
+
+
+def test_config_rejects_non_finite_depth_factor():
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument):
+            ExperimentConfig("swap_network", (2, 3), NoiseSpec("uncorrelated", 0.1), (0,), value)
+        text = json.dumps(
+            {"family": "random_bp", "n_range": [2, 3], "noise": {"kind": "uncorrelated", "p": 0.1},
+             "seeds": [0], "depth_factor": value}
+        )
+        with pytest.raises(InvalidArgument):
+            ExperimentConfig.from_json(text)
 
 
 def test_config_from_json():

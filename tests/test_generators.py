@@ -140,6 +140,12 @@ def test_swap_network_validation():
         gen_swap_network(4, 0.0, "rzz", seed=0)
 
 
+def test_swap_network_rejects_non_finite_depth_factor():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(InvalidArgument):
+            gen_swap_network(4, value, "rzz", seed=0)
+
+
 def test_pyramid_minimal():
     c = gen_rbs_pyramid(2, seed=1)
     assert [op.kind for op in c.ops] == ["X", "CNOT", "XCZ", "CNOT"]

@@ -212,6 +212,14 @@ def test_make_impure_inverse_gamma():
         make_impure(0.1, -0.5)
 
 
+def test_non_finite_impure_bias_rejected():
+    for q in (float("nan"), float("inf")):
+        with pytest.raises(InvalidArgument):
+            NoiseSpec("impure", 0.1, q)
+        with pytest.raises(InvalidArgument):
+            make_impure(0.1, q)
+
+
 def test_pauli_mixture_validation():
     with pytest.raises(InvalidArgument):
         PauliMixture(0, np.ones(3))

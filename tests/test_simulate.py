@@ -56,6 +56,13 @@ def test_observable_constructors():
     assert dense.n == 1
 
 
+def test_dense_observable_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf")):
+        m = np.diag([1.0, bad])
+        with pytest.raises(InvalidArgument):
+            Observable.dense(m)
+
+
 def test_dense_observable_validation_and_normalization():
     with pytest.raises(InvalidArgument):
         Observable.dense(np.array([[0.0, 1.0], [0.0, 0.0]]))  # not Hermitian
@@ -202,12 +209,15 @@ def test_exact_mitigated_validation_and_guards():
         exact_mitigated_expectation(c, Observable.z(2, 0), "turbo")
     with pytest.raises(GuardExceeded):
         exact_mitigated_expectation(Circuit(11, ()), Observable.z(11, 0), "std")
+    # Exact std is one evolution, so 17 noisy two-qubit ops are no harder
+    # than 16.
     wide = Circuit(
         2, tuple(GateOp("CNOT", (0, 1)) for _ in range(17))
     ).with_noise(P01)
-    with pytest.raises(GuardExceeded):
-        exact_mitigated_expectation(wide, Observable.z(2, 0), "std")
-    # 16 noisy two-qubit ops sit exactly at the enumeration guard.
+    target = ideal_expectation(Circuit(2, wide.ops), Observable.z(2, 0))
+    assert exact_mitigated_expectation(
+        wide, Observable.z(2, 0), "std"
+    ) == pytest.approx(target, abs=1e-10)
     at_guard = Circuit(
         2, tuple(GateOp("CNOT", (0, 1)) for _ in range(16))
     ).with_noise(P01)

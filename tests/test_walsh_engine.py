@@ -13,11 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     all_strings_z_compatible,
+    dense,
     forward_block_coefficients,
     forward_effective_noise,
 )
 
-from blockpec.blocks import block_coefficients, effective_noise, gamma_blk, hybrid_plan
+from blockpec.blocks import (
+    block_coefficients,
+    effective_noise,
+    gamma_blk,
+    gamma_std,
+    hybrid_plan,
+)
 from blockpec.circuits import Circuit
 from blockpec.classify import (
     classify_circuit,
@@ -33,7 +40,7 @@ P_LOW = NoiseSpec("uncorrelated", 0.001)
 
 
 def assert_matches_oracle(c: Circuit) -> None:
-    fast = block_coefficients(c).coeffs
+    fast = dense(block_coefficients(c), c.n)
     slow = forward_block_coefficients(c).coeffs
     scale = max(1.0, float(np.abs(slow).max()))
     assert np.abs(fast - slow).max() <= 1e-12 * scale
@@ -43,7 +50,7 @@ def assert_matches_oracle(c: Circuit) -> None:
     # the estimator all iterate over the nonzero support.
     assert np.all(fast[slow == 0.0] == 0.0)
 
-    eff = effective_noise(c).coeffs
+    eff = dense(effective_noise(c), c.n)
     eff_slow = forward_effective_noise(c).coeffs
     assert np.abs(eff - eff_slow).max() <= 1e-12
     assert np.all(eff[eff_slow == 0.0] == 0.0)
@@ -88,6 +95,30 @@ def test_engine_matches_forward_oracle(c):
     assert_matches_oracle(c)
 
 
+def _relabel(c: Circuit, width: int, qubit_of) -> Circuit:
+    ops = tuple(
+        GateOp(op.kind, tuple(qubit_of[q] for q in op.qubits), op.angle) for op in c.ops
+    )
+    return Circuit(width, ops, c.noise_tags)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tagged_circuits(), st.integers(0, 4), st.randoms(use_true_random=False))
+def test_costs_ignore_qubit_labels_and_register_width(c, extra, rnd):
+    width = c.n + extra
+    moved = _relabel(c, width, rnd.sample(range(width), c.n))
+    for cost in (gamma_std, gamma_blk, lambda x: hybrid_plan(x).total_gamma):
+        want = cost(c)
+        assert abs(cost(moved) - want) <= 1e-12 * want
+    # An order-preserving embedding keeps the local coefficient order, so
+    # the coefficients stay bitwise and only the support moves.
+    slots = sorted(rnd.sample(range(width), c.n))
+    mix = block_coefficients(c)
+    wide = block_coefficients(_relabel(c, width, slots))
+    assert wide.support == tuple(slots[q] for q in mix.support)
+    assert wide.coeffs.tobytes() == mix.coeffs.tobytes()
+
+
 def test_strict_subset_block_is_exact_outside_span():
     ops = (
         GateOp("CNOT", (1, 3)),
@@ -96,7 +127,7 @@ def test_strict_subset_block_is_exact_outside_span():
     )
     c = Circuit(6, ops).with_noise(NoiseSpec("correlated", 0.2))
     assert_matches_oracle(c)
-    coeffs = block_coefficients(c).coeffs
+    coeffs = dense(block_coefficients(c), 6)
     touched = (1 << 1) | (1 << 3) | (1 << 4)
     outside = np.arange(64) & ~touched != 0
     assert np.all(coeffs[outside] == 0.0)
@@ -127,8 +158,9 @@ def test_hybrid_blocks_match_oracle():
         if seg.kind == "block":
             sub = c.subcircuit(seg.start, seg.stop)
             slow = forward_block_coefficients(sub).coeffs
-            assert np.abs(seg.coeffs.coeffs - slow).max() <= 1e-12
-            assert np.all(seg.coeffs.coeffs[slow == 0.0] == 0.0)
+            fast = dense(seg.coeffs, c.n)
+            assert np.abs(fast - slow).max() <= 1e-12
+            assert np.all(fast[slow == 0.0] == 0.0)
 
 
 def _every_kind():
