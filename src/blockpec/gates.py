@@ -63,7 +63,13 @@ class GateOp:
         if takes_angle:
             if self.angle is None:
                 raise UnsupportedGate(f"{kind} requires an angle")
-            object.__setattr__(self, "angle", float(self.angle))
+            try:
+                angle = float(self.angle)
+            except (TypeError, ValueError) as exc:
+                raise InvalidArgument(f"{kind} angle must be a real number, got {self.angle!r}") from exc
+            if not math.isfinite(angle):
+                raise InvalidArgument(f"{kind} angle must be finite, got {angle}")
+            object.__setattr__(self, "angle", angle)
         elif self.angle is not None:
             raise UnsupportedGate(f"{kind} takes no angle")
 

@@ -6,17 +6,27 @@ matrix (qubit q is index bit n-1-q). There is one kernel per kind of step:
 
 - ``gather``: a gate whose matrix has one nonzero entry per row, each in
   {+-1, +-i} (X, Z, S, CZ, CNOT, SWAP, TOFFOLI, the Paulis), moves every
-  entry from its source index, then multiplies by a local phase tensor;
+  entry from its source index, then multiplies by a local phase tensor; a
+  diagonal one (Z, S, CZ) moves nothing and only multiplies;
 - ``broadcast``: a Z-mixture multiplies each coherence rho_{xy} by its
   Walsh-Hadamard eigenvalue at the support pattern of x xor y, a local factor
-  on the support's row and column axes of the (2,)*2n view;
-- ``dense``: every other gate is contracted with ``np.tensordot``.
+  on the support's row and column axes of the (2,)*2n view; when the support
+  reaches the last qubits, the factor is materialized over their column axes
+  so that the multiply runs over contiguous stretches of the state;
+- ``dense``: every other gate on ascending adjacent qubits q0..q0+k-1 is a
+  ``np.matmul`` of the 2^k x 2^k matrix with the state's (2^q0, 2^k, rest)
+  view (then of its conjugate with the columns' view); a gate on any other
+  qubit tuple is contracted with ``np.tensordot``.
 
 Gather and broadcast multiply each entry by the exact unit or the eigenvalue
 that the tensordot contraction or a full 2^n x 2^n coherence table would, so
 their results equal the tensordot-and-table route bit for bit, up to the sign
-of exact zeros. Elementwise phase multiplies round differently from zgemm,
-so gates with other phases (T, RZ, RZZ, ...) stay dense.
+of exact zeros. A dense step hands zgemm the operands of tensordot in the same
+roles (the gate on the left, the state on the right), either as one product or
+as a batch of (2^k, c >= 4) products, which round alike, so it equals
+tensordot bit for bit; tests/test_density_kernels.py checks every position
+(numpy 2.4.6, OpenBLAS 0.3.31). Elementwise phase multiplies round differently
+from zgemm, so gates with other phases (T, RZ, RZZ, ...) stay dense.
 """
 
 from __future__ import annotations
@@ -40,6 +50,20 @@ _UNIT_PHASES = (1, -1, 1j, -1j)
 # entries, the rows of some support qubits are looped over instead.
 _FACTOR_SLACK = 4
 
+# A broadcast factor whose support reaches the last _RUN_QUBITS qubits is
+# materialized over their column axes: the multiply then runs over 64
+# contiguous entries at a time, not 2.
+_RUN_QUBITS = 6
+
+# A dense step batches (2^k, c) products when the c entries after its qubits
+# number at least _BATCH_RUN and the state holds at least _BATCH_SIZE entries
+# (1 MiB); below either, the cost per product outweighs one transposed copy.
+# Measured on one BLAS thread: at n = 10, k = 1, c = 8/16/32 take 18/10/6 ms
+# batched against 11/10/10 ms copied; at n = 7 copying wins for every c.
+# Batched products with c < 4 round differently from tensordot's.
+_BATCH_RUN = 16
+_BATCH_SIZE = 1 << 16
+
 
 def z_sign_vector(mask: int, n: int) -> np.ndarray:
     """(+/-1)^{parity of mask bits} over the 2^n basis indices (qubit q lives
@@ -60,35 +84,57 @@ def run(state: np.ndarray, step) -> np.ndarray:
 # ---- kernels (each returns a new array and leaves ``state`` untouched)
 
 
-def gather(state: np.ndarray, src: np.ndarray, phase: np.ndarray | None) -> np.ndarray:
+def gather(state: np.ndarray, src: np.ndarray | None, phase: np.ndarray | None) -> np.ndarray:
     """Entry x comes from ``src[x]`` and takes the phase ``phase[x]``; on a
     density matrix, entry (x, y) comes from (src[x], src[y]) and takes
-    phase[x] * conj(phase[y])."""
-    if state.ndim == 1:
-        out = state[src]
+    phase[x] * conj(phase[y]). ``src`` None is the identity permutation (Z, S,
+    CZ): the same phase multiplies, in the same order, act on the state
+    itself."""
+    density = state.ndim == 2
+    rows = phase[:, None] if density and phase is not None else phase
+    if src is None:
+        out = state.copy() if phase is None else state * rows
+    else:
+        out = state[src[:, None], src] if density else state[src]
         if phase is not None:
-            out *= phase
-        return out
-    out = state[src[:, None], src]
-    if phase is not None:
-        out *= phase[:, None]
+            out *= rows
+    if density and phase is not None:
         out *= phase.conj()
     return out
 
 
-def dense(state: np.ndarray, u_t: np.ndarray, u_conj, qubits: list, n: int) -> np.ndarray:
-    """``np.tensordot`` with the (2,)*2k gate tensor, and on a density matrix
-    with its conjugate on the column axes."""
-    k = len(qubits)
-    axes = list(range(k, 2 * k))
-    if state.ndim == 1:
-        moved = np.tensordot(u_t, state.reshape((2,) * n), axes=(axes, qubits))
-        return np.moveaxis(moved, range(k), qubits).reshape(-1)
-    moved = np.tensordot(u_t, state.reshape((2,) * (2 * n)), axes=(axes, qubits))
-    tensor = np.moveaxis(moved, range(k), qubits)
-    cols = [n + q for q in qubits]
-    moved = np.tensordot(u_conj, tensor, axes=(axes, cols))
-    return np.moveaxis(moved, range(k), cols).reshape(state.shape)
+def _left(u: np.ndarray, x: np.ndarray, a: int, c: int) -> np.ndarray:
+    """``u`` applied to the middle axis of ``x`` viewed as (a, 2^k, c). As in
+    tensordot, zgemm gets ``u`` as its left operand and the state as its right
+    one, so the result is tensordot's bit for bit: a batch of (2^k, c)
+    products when c is long, else one (2^k, a*c) product on a transposed copy
+    (a strided view when c is 1), copied back."""
+    k2 = len(u)
+    if c >= _BATCH_RUN and x.size >= _BATCH_SIZE:
+        return np.matmul(u, x.reshape(a, k2, c))
+    moved = x.reshape(a, k2, c).transpose(1, 0, 2).reshape(k2, a * c)
+    moved = (u @ moved).reshape(k2, a, c)  # frees the transposed copy
+    return moved.transpose(1, 0, 2).copy()
+
+
+def dense(state: np.ndarray, u: np.ndarray, u_conj, qubits: list, n: int) -> np.ndarray:
+    """``u`` on the rows, and on a density matrix ``u_conj`` on the columns.
+    A gate on ascending adjacent qubits q0..q0+k-1 multiplies the state's
+    (2^q0, 2^k, rest) view; any other qubit tuple is contracted with
+    ``np.tensordot``."""
+    k, q0 = len(qubits), qubits[0]
+    density = state.ndim == 2
+    if qubits == list(range(q0, q0 + k)):
+        c = 1 << (n - q0 - k)
+        out = _left(u, state, 1 << q0, c << n if density else c)
+        if density:
+            out = _left(u_conj, out, 1 << (n + q0), c)
+        return out.reshape(state.shape)
+    tensor = state.reshape((2,) * (state.ndim * n))
+    for m, axes in ((u, qubits), (u_conj, [n + q for q in qubits]))[: state.ndim]:
+        moved = np.tensordot(m.reshape((2,) * (2 * k)), tensor, axes=(list(range(k, 2 * k)), axes))
+        tensor = np.moveaxis(moved, range(k), axes)
+    return tensor.reshape(state.shape)
 
 
 def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple) -> np.ndarray:
@@ -154,8 +200,8 @@ def unitary_step(u: np.ndarray, qubits, n: int, density: bool):
     for row in u.tolist():
         nonzero = [j for j, x in enumerate(row) if x != 0]
         if len(nonzero) != 1 or row[nonzero[0]] not in _UNIT_PHASES:
-            u_t = u.reshape((2,) * (2 * k))
-            return dense, (u_t, u_t.conj() if density else None, qubits, n)
+            u = np.ascontiguousarray(u)
+            return dense, (u, u.conj() if density else None, qubits, n)
         cols.append(nonzero[0])
         phases.append(row[nonzero[0]])
     # Local index bit k-1-a is qubit qubits[a], global index bit n-1-q. Each
@@ -169,7 +215,8 @@ def unitary_step(u: np.ndarray, qubits, n: int, density: bool):
     for a, q in enumerate(qubits):
         local.reshape(-1, 2, 1 << (n - 1 - q))[:, 1, :] += 1 << (k - 1 - a)
     phase = np.array(phases)[local] if any(p != 1 for p in phases) else None
-    return gather, (np.arange(1 << n) ^ np.array(flips)[local], phase)
+    src = np.arange(1 << n) ^ np.array(flips)[local] if any(flips) else None
+    return gather, (src, phase)
 
 
 def mixture_step(mix: ZMixtureChannel, n: int):
@@ -190,7 +237,11 @@ def mixture_step(mix: ZMixtureChannel, n: int):
     rows = np.arange(1 << (r - j))
     local = lam[rows[:, None] ^ patterns[None, :]].reshape((2,) * (2 * r - j))
     axes = [kept[i] for i in reversed(range(r - j))] + [n + kept[i] for i in reversed(range(r))]
-    return broadcast, (_place(local, axes, 2 * n), tuple(kept[r - j:]))
+    factor = _place(local, axes, 2 * n)
+    w = min(n, _RUN_QUBITS)
+    if kept and max(kept) >= n - w:
+        factor = np.ascontiguousarray(np.broadcast_to(factor, factor.shape[: 2 * n - w] + (2,) * w))
+    return broadcast, (factor, tuple(kept[r - j:]))
 
 
 def sign_step(mask: int, n: int):

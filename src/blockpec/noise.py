@@ -40,6 +40,13 @@ def fwht(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _real(name: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"noise {name} must be a real number, got {value!r}") from exc
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Noise model tag: kind, flip probability p, and bias ratio q (impure)."""
@@ -51,7 +58,7 @@ class NoiseSpec:
     def __post_init__(self):
         if self.kind not in NOISE_KINDS:
             raise InvalidArgument(f"unknown noise kind {self.kind!r}")
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "p", _real("p", self.p))
         if self.kind != "none":
             if not 0.0 <= self.p < 0.5:
                 raise InvalidArgument(
@@ -59,9 +66,10 @@ class NoiseSpec:
                     "at p = 0.5)"
                 )
         if self.kind == "impure":
-            if self.q is None or not (math.isfinite(self.q) and self.q >= 0):
+            q = None if self.q is None else _real("q", self.q)
+            if q is None or not (math.isfinite(q) and q >= 0):
                 raise InvalidArgument(f"impure noise requires a finite q >= 0, got {self.q}")
-            object.__setattr__(self, "q", float(self.q))
+            object.__setattr__(self, "q", q)
 
     def is_noiseless(self) -> bool:
         return self.kind == "none" or self.p == 0.0

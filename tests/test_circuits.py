@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from conftest import random_circuit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockpec.circuits import (
     Circuit,
@@ -12,7 +14,7 @@ from blockpec.circuits import (
     serialize_circuit,
 )
 from blockpec.errors import CircuitParseError, InvalidArgument, UnsupportedGate
-from blockpec.gates import GateOp
+from blockpec.gates import GATE_KINDS, GateOp
 from blockpec.noise import NoiseSpec
 
 
@@ -84,6 +86,9 @@ def test_parse_errors():
         parse_circuit("qubits=2\nRZ 0\n")  # missing required angle
     with pytest.raises(CircuitParseError):
         parse_circuit("qubits=1\nCNOT 0,1\n")  # op out of qubit range
+    for theta in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(CircuitParseError):
+            parse_circuit(f"qubits=1\nRZ 0;theta={theta}\n")  # non-finite angle
 
 
 def test_circuit_validation():
@@ -112,3 +117,62 @@ def test_with_noise_and_views():
 
     cleared = noisy.with_noise(None)
     assert cleared.noise_tags == (None, None, None)
+
+
+@st.composite
+def any_circuits(draw):
+    """Circuits over every gate kind with any finite angle, -0.0 included."""
+    n = draw(st.integers(1, 6))
+    kinds = [k for k, (arity, _) in GATE_KINDS.items() if arity <= n]
+    angles = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+    ops = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        arity, takes_angle = GATE_KINDS[kind]
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        ops.append(GateOp(kind, qubits, draw(angles) if takes_angle else None))
+    return Circuit(n, tuple(ops))
+
+
+def _angle_bits(c: Circuit):
+    return [None if op.angle is None else op.angle.hex() for op in c.ops]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_circuits())
+def test_parse_inverts_serialize(c):
+    back = parse_circuit(serialize_circuit(c))
+    assert back == c
+    assert _angle_bits(back) == _angle_bits(c)  # the sign of a zero angle survives
+
+
+_JUNK = ("qubits=3", "QUBITS=0", "qubits=x", "# meta: k=v", "#", "=", ";", "WARP 0", "CNOT 1,1", "X -1", "X 9")
+_THETAS = ("nan", "-inf", "inf", "1e999", "-0.0", "0x1p3", "x", "")
+
+
+@st.composite
+def near_circuit_texts(draw):
+    """A serialized circuit with some angles swapped for odd tokens and some
+    lines deleted or inserted."""
+    lines = serialize_circuit(draw(any_circuits())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        edit = draw(st.sampled_from(("theta", "insert", "delete")))
+        if edit == "theta" and i < len(lines) and "theta=" in lines[i]:
+            lines[i] = lines[i].split("=")[0] + "=" + draw(st.sampled_from(_THETAS))
+        elif edit == "insert":
+            lines.insert(i, draw(st.one_of(st.sampled_from(_JUNK), st.text(max_size=20))))
+        elif i < len(lines):
+            del lines[i]
+    return "\n".join(lines)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=200), near_circuit_texts()))
+def test_parser_raises_only_parse_errors(text):
+    try:
+        c = parse_circuit(text)
+    except CircuitParseError:
+        return
+    back = parse_circuit(serialize_circuit(c))
+    assert back == c and _angle_bits(back) == _angle_bits(c)

@@ -171,6 +171,31 @@ def test_parse_errors(tmp_path, diag_circuit, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_finite_angle_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nan.txt"
+    for theta in ("nan", "inf"):
+        path.write_text(f"qubits=1\nRZ 0;theta={theta}\n")
+        for mode in ("std", "blk", "hybrid"):
+            assert main(["gamma", str(path), "--noise", NOISE, "--mode", mode]) == 4
+        assert main(["estimate", str(path), "--samples", "4", "--seed", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "angle must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [
+        '{"kind": "uncorrelated", "p": "x"}',
+        '{"kind": "uncorrelated", "p": [0.1]}',
+        '{"kind": "impure", "p": 0.1, "q": "x"}',
+    ],
+    ids=["p-string", "p-list", "q-string"],
+)
+def test_noise_numbers_must_be_real(diag_circuit, capsys, noise):
+    assert main(["gamma", diag_circuit, "--noise", noise]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
 def test_invalid_samples_exit(diag_circuit, capsys):
     assert main(["estimate", diag_circuit, "--samples", "0", "--seed", "1"]) == 4
     capsys.readouterr()

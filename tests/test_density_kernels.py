@@ -109,6 +109,79 @@ def test_monomial_gates_take_the_gather_step():
         assert kernels.unitary_step(pauli, (0,), 1, True)[0] is kernels.gather, label
 
 
+DENSE_OPS = (
+    GateOp("H", (0,)),
+    GateOp("T", (0,)),
+    GateOp("RZ", (0,), 0.3),
+    GateOp("RY", (0,), -2.1),
+    GateOp("RZZ", (0, 1), 0.7),
+    GateOp("RBS", (0, 1), 0.4),
+    GateOp("XCZ", (0, 1), 1.1),
+    GateOp("CRY", (0, 1), 0.9),
+)
+
+# Batched products from c = 4 on at every size, or the transposed-copy route
+# at every c; "measured" keeps the kernel's own crossover.
+ROUTES = {
+    "measured": {"_BATCH_RUN": kernels._BATCH_RUN},
+    "batched": {"_BATCH_RUN": 4, "_BATCH_SIZE": 0},
+    "copy": {"_BATCH_RUN": 1 << 30},
+}
+
+
+@pytest.mark.parametrize(
+    "n, route", [(n, r) for n in range(1, 9) for r in ROUTES] + [(9, "measured"), (10, "measured")]
+)
+def test_dense_steps_equal_tensordot_at_every_position(n, route):
+    """Every dense kind on every run of adjacent ascending qubits (so every
+    trailing extent c = 2^(n-q0-k)) for n <= 8, and on the first, the
+    second-to-last and the last qubits at n = 9 and 10, equals np.tensordot
+    bit for bit on statevectors and densities. The equality rests on zgemm
+    rounding each entry alike in one large product and in a batch of
+    (2^k, c >= 4) products; it was established with numpy 2.4.6 on OpenBLAS
+    0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels)."""
+    rng = np.random.default_rng(200 + n)
+    dim = 1 << n
+    psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    densities = _densities(rng, n)
+    densities = (densities[0], densities[3]) if n <= 8 else densities[:1]
+    with mock.patch.multiple(kernels, **ROUTES[route]):
+        for op in DENSE_OPS:
+            k = len(op.qubits)
+            u = unitary_of(op)
+            starts = range(n - k + 1) if n <= 8 else sorted({0, n - k - 1, n - k} - {-1})
+            for q0 in starts:
+                qubits = tuple(range(q0, q0 + k))
+                step = kernels.unitary_step(u, qubits, n, True)
+                assert step[0] is kernels.dense, op
+                got = apply_unitary_state(psi, u, qubits, n)
+                assert np.array_equal(got, tensordot_unitary_state(psi, u, qubits, n)), (op, q0)
+                for rho in densities:
+                    got = kernels.run(rho, step)
+                    want = tensordot_unitary_density(rho, u, qubits, n)
+                    assert np.array_equal(got, want), (op, q0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_identity_permutation_gathers_skip_the_index(n):
+    """Z, S, CZ, RZ(+-0) and I permute nothing: their steps carry no source
+    index, and the phase multiplies alone equal tensordot."""
+    rng = np.random.default_rng(300 + n)
+    ops = [GateOp("Z", (n - 1,)), GateOp("S", (0,)), GateOp("RZ", (0,), 0.0), GateOp("RZ", (0,), -0.0)]
+    ops += [GateOp("CZ", (n - 1, 0))] if n > 1 else []
+    cases = [(unitary_of(op), op.qubits) for op in ops] + [(kernels.PAULI_1Q["I"], (n // 2,))]
+    states, densities = _states(rng, n), _densities(rng, n)
+    for u, qubits in cases:
+        kernel, (src, _) = kernels.unitary_step(u, qubits, n, True)
+        assert kernel is kernels.gather and src is None, qubits
+        for psi in states:
+            got = apply_unitary_state(psi, u, qubits, n)
+            assert got is not psi and np.array_equal(got, tensordot_unitary_state(psi, u, qubits, n))
+        for rho in densities:
+            got = apply_unitary_density(rho, u, qubits, n)
+            assert got is not rho and np.array_equal(got, tensordot_unitary_density(rho, u, qubits, n))
+
+
 def test_real_inputs_keep_the_tensordot_dtype():
     rho = np.arange(16.0).reshape(4, 4)
     for u in (np.array([[0.0, 1.0], [1.0, 0.0]]), unitary_of(GateOp("S", (1,)))):
@@ -165,6 +238,28 @@ def test_broadcast_factor_is_bytewise_the_coherence_table(n, slack):
         for mix in itertools.chain(_support_mixtures(n), _block_mixtures(n, rng)):
             got = apply_z_mixture_density(ones, mix, n)
             assert got.tobytes() == coherence_factors(mix, n).tobytes(), mix.support
+
+
+@pytest.mark.parametrize("slack", [None, 0])
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_widened_factor_is_bytewise_the_coherence_table(n, slack):
+    """A factor whose support reaches the last six qubits is materialized
+    over their column axes; one that stays clear of them is not."""
+    slack = kernels._FACTOR_SLACK if slack is None else slack
+    supports = [(0,), (1, 0), (n - 7,), (n - 1,), (n - 2, n - 1), (0, n - 1), (n - 1, 2, 0)]
+    supports += [tuple(range(n - 6, n)), tuple(range(n))]
+    ones = np.ones((1 << n, 1 << n))
+    with mock.patch.object(kernels, "_FACTOR_SLACK", slack):
+        for support in supports:
+            if min(support) < 0:
+                continue
+            mix = make_dephasing(NoiseSpec("correlated", 0.11), support)
+            for m in (mix, invert_z_mixture(mix)):
+                _, (factor, looped) = kernels.mixture_step(m, n)
+                widened = max(support) >= n - kernels._RUN_QUBITS
+                assert (factor.shape[-kernels._RUN_QUBITS :] == (2,) * kernels._RUN_QUBITS) == widened
+                got = apply_z_mixture_density(ones, m, n)
+                assert got.tobytes() == coherence_factors(m, n).tobytes(), (support, looped)
 
 
 def test_full_support_factor_loops_instead_of_a_4n_table():

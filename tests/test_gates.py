@@ -164,6 +164,13 @@ def test_gateop_validation():
         GateOp("X", (0,), 0.3)
 
 
+def test_gateop_rejects_non_finite_or_non_real_angles():
+    for angle in (float("nan"), float("inf"), -float("inf"), "x", [0.3]):
+        with pytest.raises(InvalidArgument):
+            GateOp("RZ", (0,), angle)
+    assert GateOp("RZ", (0,), -0.0).angle.hex() == "-0x0.0p+0"
+
+
 def test_gateop_normalization():
     g = GateOp("cnot", (np.int64(0), np.int64(1)))
     assert g.kind == "CNOT"

@@ -220,6 +220,18 @@ def test_non_finite_impure_bias_rejected():
             make_impure(0.1, q)
 
 
+def test_noise_spec_numbers_must_be_real():
+    for data in (
+        {"kind": "uncorrelated", "p": "x"},
+        {"kind": "uncorrelated", "p": [0.1]},
+        {"kind": "none", "p": {}},
+        {"kind": "impure", "p": 0.1, "q": "x"},
+        {"kind": "impure", "p": 0.1, "q": [1.0]},
+    ):
+        with pytest.raises(InvalidArgument):
+            NoiseSpec.from_dict(data)
+
+
 def test_pauli_mixture_validation():
     with pytest.raises(InvalidArgument):
         PauliMixture(0, np.ones(3))
