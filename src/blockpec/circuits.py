@@ -134,7 +134,11 @@ def _parse_op(line: str, lineno: int) -> GateOp:
 
 def load_circuit(path) -> Circuit:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_circuit(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CircuitParseError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_circuit(text)
 
 
 def save_circuit(c: Circuit, path) -> None:

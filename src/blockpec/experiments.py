@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .blocks import gamma_std, hybrid_plan
 from .circuits import Circuit
@@ -26,6 +25,14 @@ from .noise import NoiseSpec
 FAMILIES = ("random_bp", "swap_network", "rbs_pyramid", "option_payoff", "unary_loader")
 
 CSV_HEADER = ("family", "n", "depth", "seed", "gamma_std", "gamma_blk", "gain")
+
+
+def _integer(value, what: str) -> int:
+    """int(value), refusing a float with a fractional part instead of
+    truncating it (JSON gives 4.9 as a float)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -60,9 +67,9 @@ class ExperimentConfig:
         try:
             return cls(
                 family=d["family"],
-                n_range=(int(d["n_range"][0]), int(d["n_range"][1])),
+                n_range=tuple(_integer(b, "n_range bound") for b in d["n_range"][:2]),
                 noise=NoiseSpec.from_dict(d["noise"]),
-                seeds=tuple(int(s) for s in d["seeds"]),
+                seeds=tuple(_integer(s, "seed") for s in d["seeds"]),
                 depth_factor=float(d.get("depth_factor", 1.0)),
                 interaction=d.get("interaction", "rzz"),
                 output_path=d.get("output_path"),
@@ -155,17 +162,26 @@ def read_gain_csv(path: str) -> list[GainRow]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
             raise InvalidArgument(f"unexpected CSV header in {path}: {reader.fieldnames}")
         for rec in reader:
-            rows.append(
-                GainRow(
-                    family=rec["family"],
-                    n=int(rec["n"]),
-                    depth=int(rec["depth"]),
-                    seed=int(rec["seed"]),
-                    gamma_std=float(rec["gamma_std"]),
-                    gamma_blk=float(rec["gamma_blk"]),
-                    gain=float(rec["gain"]),
+            # DictReader fills a short row's missing fields with None and
+            # files a long row's extras under the key None.
+            if None in rec or None in rec.values():
+                raise InvalidArgument(
+                    f"{path} line {reader.line_num}: expected {len(CSV_HEADER)} fields"
                 )
-            )
+            try:
+                rows.append(
+                    GainRow(
+                        family=rec["family"],
+                        n=int(rec["n"]),
+                        depth=int(rec["depth"]),
+                        seed=int(rec["seed"]),
+                        gamma_std=float(rec["gamma_std"]),
+                        gamma_blk=float(rec["gamma_blk"]),
+                        gain=float(rec["gain"]),
+                    )
+                )
+            except ValueError as exc:
+                raise InvalidArgument(f"{path} line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -200,6 +216,10 @@ def _fit_quadratic(ns: np.ndarray, gains: np.ndarray) -> FitResult:
 
 
 def _fit_exponential(ns: np.ndarray, gains: np.ndarray) -> FitResult:
+    # Imported here, not at module level: scipy.optimize takes most of the
+    # package's import time and memory, and only this fit uses it.
+    from scipy.optimize import least_squares
+
     # Seed (a, b) from a log-linear regression after shifting the floor out.
     eps = 1e-6
     shift = float(gains.min())
@@ -228,6 +248,9 @@ def fit_models(points) -> tuple[FitResult, FitResult]:
     pts = [(float(n), float(g)) for n, g in points]
     if len(pts) < 4:
         raise InvalidArgument(f"need at least 4 points to fit, got {len(pts)}")
+    bad = [p for p in pts if not (math.isfinite(p[0]) and math.isfinite(p[1]))]
+    if bad:
+        raise InvalidArgument(f"fit points must be finite, got {bad[0]}")
     ns = np.array([p[0] for p in pts])
     gains = np.array([p[1] for p in pts])
     return _fit_exponential(ns, gains), _fit_quadratic(ns, gains)

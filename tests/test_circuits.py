@@ -63,6 +63,13 @@ def test_save_load_round_trip(tmp_path):
     assert back.meta == {"k": "v"}
 
 
+def test_load_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("qubits=1\n# caf\u00e9\nH 0\n".encode("latin-1"))
+    with pytest.raises(CircuitParseError, match="not UTF-8"):
+        load_circuit(path)
+
+
 def test_parse_errors():
     with pytest.raises(CircuitParseError):
         parse_circuit("H 0\nqubits=1\n")  # op before header

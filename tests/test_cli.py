@@ -10,6 +10,7 @@ from blockpec.blocks import gamma_blk, gamma_std
 from blockpec.circuits import save_circuit
 from blockpec.cli import main
 from blockpec.errors import SingularChannel
+from blockpec.experiments import CSV_HEADER
 from blockpec.generators import gen_option_payoff
 from blockpec.noise import NoiseSpec
 from blockpec.simulate import Observable, ideal_expectation
@@ -148,6 +149,52 @@ def test_experiment_summary_and_fit(tmp_path, capsys):
     for model in fits.values():
         assert set(model) == {"model", "params", "total_squared_residual", "converged"}
         assert len(model["params"]) == 3
+
+
+_GAIN_ROWS = [f"random_bp,{n},{n + 1},0,1.5,1.25,{1.0 + 0.1 * n * n!r}" for n in range(2, 7)]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "random_bp,x,3,0,1.5,1.25,1.44",
+        "random_bp,7,8,0,1.5",
+        "random_bp,7,8,0,1.5,1.25,nan",
+        "random_bp,7,8,0,1.5,1.25,inf",
+    ],
+    ids=["non-numeric", "short-row", "nan-gain", "inf-gain"],
+)
+def test_fit_bad_csv_exits_parse_error(tmp_path, capsys, row):
+    path = tmp_path / "gains.csv"
+    path.write_text("\n".join([",".join(CSV_HEADER), *_GAIN_ROWS, row]) + "\n")
+    assert main(["fit", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
+    path.write_text("\n".join([",".join(CSV_HEADER), *_GAIN_ROWS]) + "\n")
+    assert main(["fit", str(path)]) == 0  # the same file without the bad row fits
+    capsys.readouterr()
+
+
+def test_circuit_file_that_is_not_utf8_exits_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("qubits=2\n# caf\u00e9\nCNOT 0,1\n".encode("latin-1"))
+    for argv in (["gamma", str(path)], ["gamma", str(path), "--mode", "hybrid"],
+                 ["check-compat", str(path)]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"seeds": [0.5]}, {"n_range": [4.9, 5]}],
+    ids=["fractional-seed", "fractional-n"],
+)
+def test_experiment_refuses_fractional_integers(tmp_path, capsys, overrides):
+    cfg = _write_config(tmp_path, **overrides)
+    assert main(["experiment", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "must be an integer" in captured.err
 
 
 def test_usage_errors(capsys):

@@ -79,6 +79,30 @@ def test_config_from_json():
         ExperimentConfig.from_json('{"family": "random_bp"}')
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("seeds", [0.5]), ("seeds", [1, 2.25]), ("n_range", [4.9, 5]), ("n_range", [2, 5.5]),
+     ("seeds", [float("inf")]), ("n_range", [2, float("nan")])],
+    ids=["seed-half", "second-seed", "low-bound", "high-bound", "seed-inf", "bound-nan"],
+)
+def test_config_refuses_fractional_integers(field, value):
+    d = {"family": "random_bp", "n_range": [2, 3], "noise": {"kind": "uncorrelated", "p": 0.1},
+         "seeds": [0]}
+    d[field] = value
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        ExperimentConfig.from_json(json.dumps(d))
+
+
+def test_config_keeps_integral_numbers():
+    d = {"family": "random_bp", "n_range": [2.0, 4], "noise": {"kind": "uncorrelated", "p": 0.1},
+         "seeds": [3.0, -1, 7]}
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.n_range == (2, 4) and cfg.seeds == (3, -1, 7)
+    assert all(type(v) is int for v in cfg.n_range + cfg.seeds)
+    with pytest.raises(InvalidArgument):
+        ExperimentConfig.from_dict({**d, "n_range": [4]})  # one bound
+
+
 def test_build_family_circuit():
     for family in ("random_bp", "swap_network", "rbs_pyramid", "option_payoff"):
         c = build_family_circuit(family, 3, seed=5)
@@ -155,6 +179,26 @@ def test_csv_round_trip(tmp_path):
         read_gain_csv(str(bad))
 
 
+_GOOD_ROW = "random_bp,2,3,0,1.5,1.25,1.44"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("random_bp,x,3,0,1.5,1.25,1.44", "invalid literal for int"),
+        ("random_bp,2,3,0,1.5,1.25,lots", "could not convert string to float"),
+        ("random_bp,2,3,0,1.5", "expected 7 fields"),
+        (_GOOD_ROW + ",9", "expected 7 fields"),
+    ],
+    ids=["non-numeric-int", "non-numeric-float", "short-row", "long-row"],
+)
+def test_read_csv_rejects_malformed_rows(tmp_path, row, message):
+    path = tmp_path / "gains.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n" + _GOOD_ROW + "\n" + row + "\n")
+    with pytest.raises(InvalidArgument, match=f"line 3: {message}"):
+        read_gain_csv(str(path))
+
+
 def test_write_csv_header(tmp_path):
     path = tmp_path / "out.csv"
     write_gain_csv([], str(path))
@@ -206,6 +250,15 @@ def test_fit_validation_and_serialization():
         "total_squared_residual": 0.5,
         "converged": True,
     }
+
+
+@pytest.mark.parametrize(
+    "bad", [(7, float("nan")), (7, float("inf")), (7, -float("inf")), (float("inf"), 2.0)]
+)
+def test_fit_rejects_non_finite_points(bad):
+    pts = [(n, 1.0 + 0.1 * n * n) for n in range(2, 7)] + [bad]
+    with pytest.raises(InvalidArgument, match="must be finite"):
+        fit_models(pts)
 
 
 def test_pyramid_gain_grows():
