@@ -130,8 +130,12 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config) as fh:
-        cfg = ExperimentConfig.from_json(fh.read())
+    with open(args.config, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgument(f"{args.config} is not UTF-8 text: {exc}") from None
+    cfg = ExperimentConfig.from_json(text)
     rows = run_gain_experiment(cfg)
     if cfg.output_path:
         summary = {

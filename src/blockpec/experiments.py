@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -65,7 +66,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         try:
-            return cls(
+            cfg = cls(
                 family=d["family"],
                 n_range=tuple(_integer(b, "n_range bound") for b in d["n_range"][:2]),
                 noise=NoiseSpec.from_dict(d["noise"]),
@@ -76,6 +77,10 @@ class ExperimentConfig:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidArgument(f"bad experiment config: {exc}") from exc
+        # open() would take an int as a file descriptor.
+        if cfg.output_path is not None and not isinstance(cfg.output_path, str):
+            raise InvalidArgument(f"output_path must be a string, got {cfg.output_path!r}")
+        return cfg
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -156,32 +161,36 @@ def write_gain_csv(rows, path: str) -> None:
 
 
 def read_gain_csv(path: str) -> list[GainRow]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidArgument(f"{path} is not UTF-8 text: {exc}") from None
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
-            raise InvalidArgument(f"unexpected CSV header in {path}: {reader.fieldnames}")
-        for rec in reader:
-            # DictReader fills a short row's missing fields with None and
-            # files a long row's extras under the key None.
-            if None in rec or None in rec.values():
-                raise InvalidArgument(
-                    f"{path} line {reader.line_num}: expected {len(CSV_HEADER)} fields"
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_HEADER:
+        raise InvalidArgument(f"unexpected CSV header in {path}: {reader.fieldnames}")
+    for rec in reader:
+        # DictReader fills a short row's missing fields with None and
+        # files a long row's extras under the key None.
+        if None in rec or None in rec.values():
+            raise InvalidArgument(
+                f"{path} line {reader.line_num}: expected {len(CSV_HEADER)} fields"
+            )
+        try:
+            rows.append(
+                GainRow(
+                    family=rec["family"],
+                    n=int(rec["n"]),
+                    depth=int(rec["depth"]),
+                    seed=int(rec["seed"]),
+                    gamma_std=float(rec["gamma_std"]),
+                    gamma_blk=float(rec["gamma_blk"]),
+                    gain=float(rec["gain"]),
                 )
-            try:
-                rows.append(
-                    GainRow(
-                        family=rec["family"],
-                        n=int(rec["n"]),
-                        depth=int(rec["depth"]),
-                        seed=int(rec["seed"]),
-                        gamma_std=float(rec["gamma_std"]),
-                        gamma_blk=float(rec["gamma_blk"]),
-                        gain=float(rec["gain"]),
-                    )
-                )
-            except ValueError as exc:
-                raise InvalidArgument(f"{path} line {reader.line_num}: {exc}") from None
+            )
+        except ValueError as exc:
+            raise InvalidArgument(f"{path} line {reader.line_num}: {exc}") from None
     return rows
 
 

@@ -79,13 +79,16 @@ class _Program:
     """A circuit compiled into steps for one call. Each distinct gate (kind,
     angle, qubits), noise channel and correction is compiled once and kept
     while the steps' arrays fit ``_TABLE_BYTES``; past that a step is rebuilt
-    on every use. Nothing outlives the call."""
+    on every use. An op whose steps are all kept is also looked up by its
+    index, so the walk's many short re-evolutions skip rebuilding its keys.
+    Nothing outlives the call."""
 
     def __init__(self, c: Circuit, density: bool):
         self.c = c
         self.density = density
         self.budget = _TABLE_BYTES
         self.steps: dict = {}
+        self.per_op: dict = {}
 
     def step(self, key, build):
         step = self.steps.get(key)
@@ -97,19 +100,30 @@ class _Program:
                 self.budget -= size
         return step
 
-    def evolve(self, state: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """Ops [start, stop): each op's unitary, then on the density path its
-        noise channel."""
-        n = self.c.n
-        for i in range(start, stop):
+    def op_steps(self, i: int) -> tuple:
+        """Op i's unitary step and, on the density path, its noise channel's."""
+        steps = self.per_op.get(i)
+        if steps is None:
             op, tag = self.c.ops[i], self.c.noise_tags[i]
+            n = self.c.n
             angle = None if op.angle is None else op.angle.hex()  # keeps -0.0 apart
             gate = (op.kind, angle, op.qubits)
-            step = self.step(gate, lambda: unitary_step(unitary_of(op), op.qubits, n, self.density))
-            state = run(state, step)
+            builds = [(gate, lambda: unitary_step(unitary_of(op), op.qubits, n, self.density))]
             if self.density and tag is not None and not tag.is_noiseless():
-                step = self.step((tag, op.qubits), lambda: noise_step(tag, op.qubits, n))
-                state = run(state, step)
+                builds.append(((tag, op.qubits), lambda: noise_step(tag, op.qubits, n)))
+            steps = tuple(self.step(key, build) for key, build in builds)
+            if all(key in self.steps for key, _ in builds):
+                self.per_op[i] = steps
+        return steps
+
+    def evolve(self, state: np.ndarray, start: int, stop: int, owned: bool = False) -> np.ndarray:
+        """Ops [start, stop): each op's unitary, then on the density path its
+        noise channel. The first step writes a new array unless ``owned``
+        (a complex state that nothing else refers to); every later step may
+        overwrite the state it is given."""
+        for i in range(start, stop):
+            for step in self.op_steps(i):
+                state, owned = run(state, step, owned), True
         return state
 
 
@@ -200,7 +214,7 @@ def ideal_expectation(c: Circuit, obs: Observable) -> float:
         raise GuardExceeded(f"statevector refused for n={c.n} > {STATEVECTOR_GUARD}")
     psi = np.zeros(1 << c.n, dtype=complex)
     psi[0] = 1.0
-    return obs.expectation_state(_Program(c, density=False).evolve(psi, 0, len(c.ops)))
+    return obs.expectation_state(_Program(c, density=False).evolve(psi, 0, len(c.ops), owned=True))
 
 
 def _zero_density(n: int) -> np.ndarray:
@@ -209,17 +223,13 @@ def _zero_density(n: int) -> np.ndarray:
     return rho
 
 
-def _evolve_noisy_density(c: Circuit) -> np.ndarray:
-    """Exact noisy evolution from the all-zeros state."""
-    return _Program(c, density=True).evolve(_zero_density(c.n), 0, len(c.ops))
-
-
 def noisy_expectation(c: Circuit, obs: Observable) -> float:
     """Exact expectation under the circuit's noise tags (density matrix)."""
     _check_obs(c, obs)
     if c.n > DENSITY_GUARD:
         raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
-    return obs.expectation_density(_evolve_noisy_density(c))
+    rho = _Program(c, density=True).evolve(_zero_density(c.n), 0, len(c.ops), owned=True)
+    return obs.expectation_density(rho)
 
 
 def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float:
@@ -244,28 +254,26 @@ def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float
         raise InvalidArgument(f"unknown mode {mode!r}")
     if c.n > DENSITY_GUARD:
         raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
+    # Each state below is owned by this call, so every step may overwrite it.
+    program = _Program(c, density=True)
+    if mode == "blk":
+        step = mixture_step(block_coefficients(c), c.n)
+        rho = program.evolve(_zero_density(c.n), 0, len(c.ops), owned=True)
+        return obs.expectation_density(run(rho, step, owned=True))
+    rho = _zero_density(c.n)
     if mode == "std":
-        program = _Program(c, density=True)
-        rho = _zero_density(c.n)
         for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
-            rho = program.evolve(rho, i, i + 1)
+            rho = program.evolve(rho, i, i + 1, owned=True)
             if tag is not None and not tag.is_noiseless():
                 inverse = program.step(
                     ("inverse", tag, op.qubits),
                     lambda: mixture_step(layer_distribution(op, tag), c.n),
                 )
-                rho = run(rho, inverse)
+                rho = run(rho, inverse, owned=True)
         return obs.expectation_density(rho)
-    if mode == "blk":
-        coeffs = block_coefficients(c)
-        rho = _evolve_noisy_density(c)
-        return obs.expectation_density(apply_z_mixture_density(rho, coeffs, c.n))
-    plan = hybrid_plan(c)
-    program = _Program(c, density=True)
-    rho = _zero_density(c.n)
-    for seg in plan.segments:
-        rho = program.evolve(rho, seg.start, seg.stop)
-        rho = apply_z_mixture_density(rho, seg.coeffs, c.n)
+    for seg in hybrid_plan(c).segments:
+        rho = program.evolve(rho, seg.start, seg.stop, owned=True)
+        rho = run(rho, mixture_step(seg.coeffs, c.n), owned=True)
     return obs.expectation_density(rho)
 
 
@@ -409,13 +417,16 @@ def _trajectory_outcomes(
             nxt[j] = pending[-1]
         pending.append(j)
 
-    stack = [(0, evolve(initial, 0, bounds[1]) if depth else initial)]
+    # States on the stack are shared by later rows, so a row's steps may
+    # overwrite only the states that it evolved itself and did not store.
+    stack = [(0, evolve(initial, 0, bounds[1], owned=True) if depth else initial)]
     held = 0
     out = np.empty(len(rows))
     for r, row in enumerate(rows):
         while stack[-1][0] > lcp[r]:
             held -= stack.pop()[1].nbytes
         top, state = stack[-1]
+        owned = False
         keep = []  # depths below which later rows branch, deepest first
         j = r + 1
         while j < len(rows) and lcp[j] > top:
@@ -423,16 +434,18 @@ def _trajectory_outcomes(
             j = nxt[j]
         for d in range(top, depth):
             if d > top:
-                state = evolve(state, bounds[d], bounds[d + 1])
+                state, owned = evolve(state, bounds[d], bounds[d + 1], owned), True
                 if keep and keep[-1] == d:
                     keep.pop()
                     if held + state.nbytes <= _STATE_BYTES:
                         stack.append((d, state))
                         held += state.nbytes
+                        owned = False
             if row[d]:
                 mask = row[d]
-                state = run(state, program.step(("signs", mask), lambda: sign_step(mask, n)))
-        out[r] = expect(evolve(state, bounds[depth], bounds[depth + 1]))
+                step = program.step(("signs", mask), lambda: sign_step(mask, n))
+                state, owned = run(state, step, owned), True
+        out[r] = expect(evolve(state, bounds[depth], bounds[depth + 1], owned))
     return out[inverse]
 
 

@@ -3,8 +3,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import blockpec
 
 from blockpec.blocks import gamma_blk, gamma_std
 from blockpec.circuits import save_circuit
@@ -183,6 +189,50 @@ def test_circuit_file_that_is_not_utf8_exits_parse_error(tmp_path, capsys):
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and "not UTF-8" in captured.err
+
+
+def test_config_and_csv_that_are_not_utf8_exit_parse_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_bytes(
+        '{"family": "random_bp", "n_range": [2, 3], "noise": {"kind": "uncorrelated", "p": 0.05},'
+        ' "seeds": [0], "interaction": "caf\u00e9"}'.encode("latin-1")
+    )
+    gains = tmp_path / "gains.csv"
+    gains.write_bytes(("\n".join([",".join(CSV_HEADER), *_GAIN_ROWS, "caf\u00e9,7,8,0,1.5,1.25,1.44"])
+                       + "\n").encode("latin-1"))
+    for argv in (["experiment", "--config", str(config)], ["fit", str(gains)]):
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and "not UTF-8" in captured.err
+
+
+@pytest.mark.parametrize("output_path", [7, True, ["gains.csv"]], ids=["int", "bool", "list"])
+def test_experiment_refuses_non_string_output_path(tmp_path, capsys, monkeypatch, output_path):
+    def no_sweep(cfg):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr("blockpec.cli.run_gain_experiment", no_sweep)
+    cfg = _write_config(tmp_path, output_path=output_path)
+    assert main(["experiment", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "output_path must be a string" in captured.err
+
+
+def test_python_m_blockpec_runs_the_cli(diag_circuit):
+    src = str(Path(blockpec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["gamma", diag_circuit, "--noise", NOISE, "--mode", "blk"]
+    done = subprocess.run(
+        [sys.executable, "-m", "blockpec", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["mode"] == "blk" and out["gamma"] > 1.0
+    bad = subprocess.run(
+        [sys.executable, "-m", "blockpec", "gamma"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert bad.returncode == 4 and bad.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize(

@@ -83,6 +83,15 @@ def _ops(rng, n):
             yield GateOp(kind, qubits, angle)
 
 
+def _both(state, step):
+    """The step's results on a state it must leave untouched and on a copy
+    that it owns and may overwrite."""
+    before = state.tobytes()
+    got = kernels.run(state, step)
+    assert state.tobytes() == before
+    return got, kernels.run(state.copy(), step, owned=True)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_gate_steps_equal_tensordot(n):
     rng = np.random.default_rng(100 + n)
@@ -121,11 +130,12 @@ DENSE_OPS = (
 )
 
 # Batched products from c = 4 on at every size, or the transposed-copy route
-# at every c; "measured" keeps the kernel's own crossover.
+# at every c, both reusing an owned state's buffer at every size; "measured"
+# keeps the kernel's own crossovers.
 ROUTES = {
     "measured": {"_BATCH_RUN": kernels._BATCH_RUN},
-    "batched": {"_BATCH_RUN": 4, "_BATCH_SIZE": 0},
-    "copy": {"_BATCH_RUN": 1 << 30},
+    "batched": {"_BATCH_RUN": 4, "_BATCH_SIZE": 0, "_REUSE_SIZE": 0},
+    "copy": {"_BATCH_RUN": 1 << 30, "_REUSE_SIZE": 0},
 }
 
 
@@ -136,7 +146,8 @@ def test_dense_steps_equal_tensordot_at_every_position(n, route):
     """Every dense kind on every run of adjacent ascending qubits (so every
     trailing extent c = 2^(n-q0-k)) for n <= 8, and on the first, the
     second-to-last and the last qubits at n = 9 and 10, equals np.tensordot
-    bit for bit on statevectors and densities. The equality rests on zgemm
+    bit for bit on statevectors and densities, both on an input the step must
+    leave untouched and on one it owns. The equality rests on zgemm
     rounding each entry alike in one large product and in a batch of
     (2^k, c >= 4) products; it was established with numpy 2.4.6 on OpenBLAS
     0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels)."""
@@ -154,12 +165,70 @@ def test_dense_steps_equal_tensordot_at_every_position(n, route):
                 qubits = tuple(range(q0, q0 + k))
                 step = kernels.unitary_step(u, qubits, n, True)
                 assert step[0] is kernels.dense, op
-                got = apply_unitary_state(psi, u, qubits, n)
-                assert np.array_equal(got, tensordot_unitary_state(psi, u, qubits, n)), (op, q0)
-                for rho in densities:
-                    got = kernels.run(rho, step)
-                    want = tensordot_unitary_density(rho, u, qubits, n)
+                want = tensordot_unitary_state(psi, u, qubits, n)
+                for got in _both(psi, kernels.unitary_step(u, qubits, n, False)):
                     assert np.array_equal(got, want), (op, q0)
+                for rho in densities:
+                    want = tensordot_unitary_density(rho, u, qubits, n)
+                    for got in _both(rho, step):
+                        assert np.array_equal(got, want), (op, q0)
+
+
+PERMUTATIONS = {
+    "X": kernels.PAULI_1Q["X"],
+    "Y": kernels.PAULI_1Q["Y"],  # phased; pauli_channel applies it
+    "CNOT": unitary_of(GateOp("CNOT", (0, 1))),
+    "SWAP": unitary_of(GateOp("SWAP", (0, 1))),
+    "TOFFOLI": unitary_of(GateOp("TOFFOLI", (0, 1, 2))),
+}
+
+# Slice blocks at every position and size, or the index at every one.
+GATHER_ROUTES = {
+    "slices": ({"_SLICE_RUN": 1, "_SLICE_BLOCK": 0}, tuple),
+    "indexed": ({"_SLICE_RUN": 1 << 30}, np.ndarray),
+}
+
+
+def _positions(n, k):
+    """Every ordered qubit tuple for n <= 8; past that the first, middle and
+    last runs of adjacent qubits, ascending and descending."""
+    if n <= 8:
+        return list(itertools.permutations(range(n), k))
+    runs = [tuple(range(q0, q0 + k)) for q0 in (0, (n - k) // 2, n - k)]
+    return runs + [run[::-1] for run in runs if k > 1]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_permutation_gathers_equal_tensordot_on_both_routes(n):
+    """Every permutation kind, on every qubit tuple that _positions gives,
+    moved by slice blocks and by the 2-D index, equals np.tensordot bit for
+    bit (signed zeros compare equal), on a density it leaves untouched and on
+    one it owns."""
+    rng = np.random.default_rng(400 + n)
+    densities = _densities(rng, n)
+    densities = (densities[0], densities[3]) if n <= 8 else densities[:1]
+    for kind, u in PERMUTATIONS.items():
+        k = len(u).bit_length() - 1
+        for qubits in _positions(n, k) if k <= n else ():
+            wants = [tensordot_unitary_density(rho, u, qubits, n) for rho in densities]
+            for route, (constants, src_type) in GATHER_ROUTES.items():
+                with mock.patch.multiple(kernels, **constants):
+                    step = kernels.unitary_step(u, qubits, n, True)
+                assert step[0] is kernels.gather and isinstance(step[1][0], src_type), (kind, route)
+                for rho, want in zip(densities, wants):
+                    for got in _both(rho, step):
+                        assert np.array_equal(got, want), (kind, qubits, route)
+
+
+def test_slice_route_follows_the_measured_crossover():
+    """Blocks where runs after the gate's last qubit reach _SLICE_RUN entries
+    and blocks hold _SLICE_BLOCK; the index elsewhere and on statevectors."""
+    cnot = PERMUTATIONS["CNOT"]
+    assert isinstance(kernels.unitary_step(cnot, (5, 6), 10, True)[1][0], tuple)  # runs of 8
+    assert isinstance(kernels.unitary_step(cnot, (6, 7), 10, True)[1][0], np.ndarray)  # runs of 4
+    assert isinstance(kernels.unitary_step(cnot, (0, 1), 7, True)[1][0], tuple)  # 1024-entry blocks
+    assert isinstance(kernels.unitary_step(cnot, (0, 1), 6, True)[1][0], np.ndarray)  # 256-entry blocks
+    assert isinstance(kernels.unitary_step(cnot, (0, 1), 12, False)[1][0], np.ndarray)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -177,9 +246,12 @@ def test_identity_permutation_gathers_skip_the_index(n):
         for psi in states:
             got = apply_unitary_state(psi, u, qubits, n)
             assert got is not psi and np.array_equal(got, tensordot_unitary_state(psi, u, qubits, n))
+            owned = kernels.run(psi.copy(), kernels.unitary_step(u, qubits, n, False), owned=True)
+            assert np.array_equal(owned, got)
         for rho in densities:
             got = apply_unitary_density(rho, u, qubits, n)
             assert got is not rho and np.array_equal(got, tensordot_unitary_density(rho, u, qubits, n))
+            assert np.array_equal(kernels.run(rho.copy(), (kernel, (src, _)), owned=True), got)
 
 
 def test_real_inputs_keep_the_tensordot_dtype():
@@ -238,6 +310,8 @@ def test_broadcast_factor_is_bytewise_the_coherence_table(n, slack):
         for mix in itertools.chain(_support_mixtures(n), _block_mixtures(n, rng)):
             got = apply_z_mixture_density(ones, mix, n)
             assert got.tobytes() == coherence_factors(mix, n).tobytes(), mix.support
+            owned = kernels.run(ones.copy(), kernels.mixture_step(mix, n), owned=True)
+            assert owned.tobytes() == got.tobytes(), mix.support
 
 
 @pytest.mark.parametrize("slack", [None, 0])
@@ -260,6 +334,8 @@ def test_widened_factor_is_bytewise_the_coherence_table(n, slack):
                 assert (factor.shape[-kernels._RUN_QUBITS :] == (2,) * kernels._RUN_QUBITS) == widened
                 got = apply_z_mixture_density(ones, m, n)
                 assert got.tobytes() == coherence_factors(m, n).tobytes(), (support, looped)
+                owned = kernels.run(ones.copy(), kernels.mixture_step(m, n), owned=True)
+                assert owned.tobytes() == got.tobytes(), (support, looped)
 
 
 def test_full_support_factor_loops_instead_of_a_4n_table():
@@ -277,8 +353,9 @@ def test_signs_and_pauli_channel_equal_reference(n):
     forward, _ = make_impure(0.1, 0.7)
     for rho in _densities(rng, n):
         for mask in range(1 << n):
-            got = apply_z_string_density(rho, mask, n)
-            assert np.array_equal(got, rho * z_sign_matrix(mask, n))
+            for got in _both(rho, kernels.sign_step(mask, n)):
+                assert np.array_equal(got, rho * z_sign_matrix(mask, n))
+            assert np.array_equal(apply_z_string_density(rho, mask, n), got)
         for q in range(n):
             got = kernels.pauli_channel(rho, forward.coeffs, (q,), n)
             assert np.array_equal(got, table_pauli1_density(rho, forward.coeffs, q, n))

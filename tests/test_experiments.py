@@ -103,6 +103,16 @@ def test_config_keeps_integral_numbers():
         ExperimentConfig.from_dict({**d, "n_range": [4]})  # one bound
 
 
+@pytest.mark.parametrize("value", [7, True, ["gains.csv"]], ids=["int", "bool", "list"])
+def test_config_refuses_non_string_output_path(value):
+    d = {"family": "random_bp", "n_range": [2, 3], "noise": {"kind": "uncorrelated", "p": 0.1},
+         "seeds": [0], "output_path": value}
+    with pytest.raises(InvalidArgument, match="output_path must be a string"):
+        ExperimentConfig.from_dict(d)
+    d["output_path"] = "gains.csv"
+    assert ExperimentConfig.from_dict(d).output_path == "gains.csv"
+
+
 def test_build_family_circuit():
     for family in ("random_bp", "swap_network", "rbs_pyramid", "option_payoff"):
         c = build_family_circuit(family, 3, seed=5)
@@ -196,6 +206,13 @@ def test_read_csv_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "gains.csv"
     path.write_text(",".join(CSV_HEADER) + "\n" + _GOOD_ROW + "\n" + row + "\n")
     with pytest.raises(InvalidArgument, match=f"line 3: {message}"):
+        read_gain_csv(str(path))
+
+
+def test_read_csv_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "gains.csv"
+    path.write_bytes((",".join(CSV_HEADER) + "\ncaf\u00e9,2,3,0,1.5,1.25,1.44\n").encode("latin-1"))
+    with pytest.raises(InvalidArgument, match="not UTF-8"):
         read_gain_csv(str(path))
 
 
