@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit
-from .classify import classify_circuit
+from .classify import maximal_segments
 from .conjugation import generator_images
-from .errors import GuardExceeded, InvalidArgument, SingularChannel, Unsupported
+from .errors import GuardExceeded, InvalidArgument, NotZClosed, SingularChannel, Unsupported
 from .gates import GateOp
 from .noise import (
     _SINGULAR_TOL,
@@ -37,6 +37,9 @@ _REACH_GUARD_QUBITS = 20
 # Block coefficients are Z-mixtures; the old name stays importable because
 # perfbench/workloads.py uses it.
 BlockCoefficients = ZMixtureChannel
+
+# The mitigation modes: per-gate, one aggregated block, and segmented.
+MODES = ("std", "blk", "hybrid")
 
 
 def layer_distribution(g: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
@@ -74,13 +77,18 @@ class _GateTables:
         self._layers: dict = {}
         self._log_walsh: dict = {}
 
-    def local_images(self, op: GateOp) -> tuple[int, ...] | None:
-        """Local mask (bit b = op.qubits[b]) of the image of each generator
-        Z_{op.qubits[a]}; None when the gate maps every generator to itself.
-        Raises NotZClosed for a gate that leaves the Z-string group."""
+    def _images_of(self, op: GateOp):
+        """local_images(op), or the NotZClosed that it raises, conjugated once
+        per (kind, angle). The kept error is a copy that is never raised, so
+        it holds no frames (the raised one would tie the tables into a
+        reference cycle); it names the first op that failed."""
         key = (op.kind, op.angle)
         if key not in self._images:
-            imgs = generator_images(op, self.n)
+            try:
+                imgs = generator_images(op, self.n)
+            except NotZClosed as exc:
+                self._images[key] = NotZClosed(exc.gate, exc.zstring)
+                return self._images[key]
             local = tuple(
                 sum(1 << b for b, qb in enumerate(op.qubits) if imgs[q] >> qb & 1)
                 for q in op.qubits
@@ -89,20 +97,27 @@ class _GateTables:
             self._images[key] = None if identity else local
         return self._images[key]
 
-    def _layer(self, op: GateOp, spec: NoiseSpec | None) -> tuple[np.ndarray, float]:
+    def local_images(self, op: GateOp) -> tuple[int, ...] | None:
+        """Local mask (bit b = op.qubits[b]) of the image of each generator
+        Z_{op.qubits[a]}; None when the gate maps every generator to itself.
+        Raises NotZClosed for a gate that leaves the Z-string group."""
+        images = self._images_of(op)
+        if isinstance(images, NotZClosed):
+            raise NotZClosed(images.gate, images.zstring)
+        return images
+
+    def z_closed(self, op: GateOp) -> bool:
+        """Whether the gate maps every Z-string to a Z-string."""
+        return not isinstance(self._images_of(op), NotZClosed)
+
+    def layer(self, op: GateOp, spec: NoiseSpec | None) -> tuple[np.ndarray, float]:
+        """The coefficients of layer_distribution(op, spec), which depend on
+        the op's arity alone, and their gamma."""
         key = (spec, op.arity)
         if key not in self._layers:
             dist = layer_distribution(op, spec)
             self._layers[key] = (dist.coeffs, gamma_of(dist))
         return self._layers[key]
-
-    def layer(self, op: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
-        """layer_distribution(op, spec)."""
-        coeffs, _ = self._layer(op, spec)
-        return ZMixtureChannel(tuple(sorted(op.qubits)), coeffs.copy())
-
-    def layer_gamma(self, op: GateOp, spec: NoiseSpec | None) -> float:
-        return self._layer(op, spec)[1]
 
     def log_walsh(self, op: GateOp, spec: NoiseSpec | None) -> np.ndarray | None:
         """g(u) = FWHT(log lambda)(u) / 2^m over the local strings u of the
@@ -251,7 +266,7 @@ def gamma_std(c: Circuit) -> float:
     tables = _GateTables(c.n)
     total = 1.0
     for op, tag in zip(c.ops, c.noise_tags):
-        total *= tables.layer_gamma(op, tag)
+        total *= tables.layer(op, tag)[1]
     return _finite(total, "gamma_std")
 
 
@@ -306,9 +321,9 @@ class MitigationPlan:
     def to_json(self) -> str:
         payload = []
         for seg in self.segments:
-            bits = [1 << q for q in seg.coeffs.support]
+            masks = _global_masks(seg.coeffs).tolist()
             pairs = [
-                [_xor_of(bits, i), float(seg.coeffs.coeffs[i])]
+                [masks[i], float(seg.coeffs.coeffs[i])]
                 for i in np.flatnonzero(seg.coeffs.coeffs).tolist()
             ]
             payload.append(
@@ -322,13 +337,26 @@ class MitigationPlan:
         return json.dumps({"segments": payload, "total_gamma": self.total_gamma})
 
 
-def hybrid_plan(c: Circuit) -> MitigationPlan:
-    """Block segments for maximal compatible runs, per-gate inversion for
-    everything else. A circuit with no compatible gate degenerates to
-    standard PEC with the same total cost."""
-    report = classify_circuit(c)
-    runs = dict(report.segments)
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise InvalidArgument(f"unknown mode {mode!r}")
+
+
+def mitigation_plan(c: Circuit, mode: str) -> MitigationPlan:
+    """The corrections of one mode, each applied after its segment's last
+    op: ``std`` has one per_gate segment per op, ``blk`` one block segment
+    over all ops (block_coefficients), and ``hybrid`` block segments for the
+    maximal runs of Z-closed gates with per_gate segments in between. The
+    total is gamma_std, gamma_blk or the hybrid cost; an unknown mode raises
+    InvalidArgument and an overflowing total GuardExceeded."""
+    _check_mode(mode)
     tables = _GateTables(c.n)
+    if mode == "std":
+        runs = {}
+    elif mode == "blk":
+        runs = {0: len(c.ops)}
+    else:
+        runs = dict(maximal_segments(map(tables.z_closed, c.ops)))
     segments: list[PlanSegment] = []
     total = 1.0
     i = 0
@@ -340,12 +368,17 @@ def hybrid_plan(c: Circuit) -> MitigationPlan:
             segments.append(PlanSegment("block", start, stop, g, coeffs))
             i = stop
         else:
-            dist = tables.layer(c.ops[i], c.noise_tags[i])
-            g = tables.layer_gamma(c.ops[i], c.noise_tags[i])
+            coeffs, g = tables.layer(c.ops[i], c.noise_tags[i])
+            dist = ZMixtureChannel(tuple(sorted(c.ops[i].qubits)), coeffs.copy())
             segments.append(PlanSegment("per_gate", i, i + 1, g, dist))
             i += 1
         total *= g
-    return MitigationPlan(tuple(segments), _finite(total, "hybrid total gamma"))
+    return MitigationPlan(tuple(segments), _finite(total, f"{mode} total gamma"))
+
+
+def hybrid_plan(c: Circuit) -> MitigationPlan:
+    """mitigation_plan(c, "hybrid")."""
+    return mitigation_plan(c, "hybrid")
 
 
 def analytic_pattern_gammas(

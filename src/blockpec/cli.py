@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .blocks import gamma_blk, gamma_std, hybrid_plan
+from .blocks import MODES, mitigation_plan
 from .circuits import Circuit, load_circuit
 from .classify import classify_circuit
 from .errors import (
@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gamma = sub.add_parser("gamma", help="sampling cost of a circuit")
     p_gamma.add_argument("circuit", help="circuit text file")
-    p_gamma.add_argument("--mode", choices=("std", "blk", "hybrid"), default="std")
+    p_gamma.add_argument("--mode", choices=MODES, default="std")
     p_gamma.add_argument("--noise", help='noise JSON, e.g. {"kind":"uncorrelated","p":0.1}')
 
     p_est = sub.add_parser("estimate", help="Monte Carlo mitigated expectation")
@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--samples", type=int, required=True)
     p_est.add_argument("--seed", type=int, required=True)
     p_est.add_argument("--shots", type=int, default=None, help="per-sample +/-1 shots (default: exact outcomes)")
-    p_est.add_argument("--mode", choices=("std", "blk", "hybrid"), default="std")
+    p_est.add_argument("--mode", choices=MODES, default="std")
     p_est.add_argument("--noise", help="noise JSON applied to every gate")
 
     p_exp = sub.add_parser("experiment", help="gain sweep over (n, seed) grid")
@@ -107,12 +107,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_gamma(args) -> int:
     c = _load(args.circuit, args.noise)
-    if args.mode == "std":
-        gamma = gamma_std(c)
-    elif args.mode == "blk":
-        gamma = gamma_blk(c)
-    else:
-        gamma = hybrid_plan(c).total_gamma
+    gamma = mitigation_plan(c, args.mode).total_gamma
     _emit({"mode": args.mode, "gamma": gamma, "n": c.n, "ops": len(c.ops)})
     return EXIT_OK
 

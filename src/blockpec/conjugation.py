@@ -51,24 +51,6 @@ def numeric_conjugate_local(g: GateOp, local_mask: int) -> int:
     raise NotZClosed(g, local_mask)
 
 
-def _local_mask_of(g: GateOp, s: PauliZString) -> int:
-    local = 0
-    for a, q in enumerate(g.qubits):
-        if s.mask >> q & 1:
-            local |= 1 << a
-    return local
-
-
-def _replace_local(g: GateOp, s: PauliZString, local: int) -> PauliZString:
-    mask = s.mask
-    for q in g.qubits:
-        mask &= ~(1 << q)
-    for a, q in enumerate(g.qubits):
-        if local >> a & 1:
-            mask |= 1 << q
-    return PauliZString(mask, s.n)
-
-
 def conjugate_z_string(g: GateOp, s: PauliZString) -> PauliZString:
     """Commute the phase-flip string ``s`` leftward through gate ``g``.
 
@@ -76,14 +58,16 @@ def conjugate_z_string(g: GateOp, s: PauliZString) -> PauliZString:
     NotZClosed (carrying the gate and string) when U Z_s U^dag is not a
     phase times a Z-string.
     """
-    local = _local_mask_of(g, s)
+    local = sum(1 << a for a, q in enumerate(g.qubits) if s.mask >> q & 1)
     if local == 0 or g.kind in PASS_THROUGH_KINDS:
         return s
     try:
         new_local = numeric_conjugate_local(g, local)
     except NotZClosed:
         raise NotZClosed(g, s) from None
-    return _replace_local(g, s, new_local)
+    mask = s.mask & ~sum(1 << q for q in g.qubits)
+    mask |= sum(1 << q for a, q in enumerate(g.qubits) if new_local >> a & 1)
+    return PauliZString(mask, s.n)
 
 
 def generator_images(g: GateOp, n: int) -> dict[int, int]:

@@ -225,14 +225,15 @@ def signs(state: np.ndarray, s: np.ndarray, owned: bool = False) -> np.ndarray:
     return out
 
 
-def pauli_channel(rho: np.ndarray, coeffs, qubits, n: int, owned: bool = False) -> np.ndarray:
-    """rho -> sum_P c_P P rho P^dag over the single-qubit Paulis, on each of
-    ``qubits`` in turn."""
-    for q in qubits:
+def pauli_channel(rho: np.ndarray, terms: tuple, owned: bool = False) -> np.ndarray:
+    """rho -> sum_P c_P P rho P^dag over the single-qubit Paulis, one qubit
+    at a time: ``terms`` holds each qubit's (c_P, step of P) pairs, summed
+    in I, X, Y, Z order."""
+    for qubit_terms in terms:
         out = np.zeros_like(rho)
-        for c, label in zip(coeffs, "IXYZ"):
-            if c != 0.0:
-                out = out + c * run(rho, unitary_step(PAULI_1Q[label], (q,), n, True))
+        for c, step in qubit_terms:
+            term = run(rho, step)
+            out += np.multiply(term, c, out=term)
         rho = out
     return rho
 
@@ -322,8 +323,11 @@ def sign_step(mask: int, n: int):
 
 
 def noise_step(tag, qubits, n: int):
-    """The forward channel of a (noisy) tag on an op's qubits."""
+    """The forward channel of a (noisy) tag on an op's qubits. Impure noise
+    compiles a step for each weighted single-qubit Pauli on each qubit."""
     if tag.kind == "impure":
         forward, _ = make_impure(tag.p, tag.q)
-        return pauli_channel, (forward.coeffs, qubits, n)
+        paulis = [(c, PAULI_1Q[label]) for c, label in zip(forward.coeffs, "IXYZ") if c != 0.0]
+        terms = tuple(tuple((c, unitary_step(p, (q,), n, True)) for c, p in paulis) for q in qubits)
+        return pauli_channel, (terms,)
     return mixture_step(make_dephasing(tag, tuple(sorted(qubits))), n)

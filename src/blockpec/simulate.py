@@ -14,16 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blocks import (
-    _global_masks,
-    block_coefficients,
-    hybrid_plan,
-    layer_distribution,
-)
+from .blocks import MitigationPlan, _check_mode, _global_masks, mitigation_plan
 from .circuits import Circuit
 from .errors import (
     GuardExceeded,
@@ -75,42 +70,60 @@ _TABLE_BYTES = 1 << 26
 _STATE_BYTES = 1 << 26
 
 
-class _Program:
-    """A circuit compiled into steps for one call. Each distinct gate (kind,
-    angle, qubits), noise channel and correction is compiled once and kept
-    while the steps' arrays fit ``_TABLE_BYTES``; past that a step is rebuilt
-    on every use. An op whose steps are all kept is also looked up by its
-    index, so the walk's many short re-evolutions skip rebuilding its keys.
-    Nothing outlives the call."""
+def _nbytes(args) -> int:
+    """Bytes of the arrays in a step's arguments, nested tuples included."""
+    if isinstance(args, np.ndarray):
+        return args.nbytes
+    return sum(map(_nbytes, args)) if isinstance(args, tuple) else 0
 
-    def __init__(self, c: Circuit, density: bool):
+
+class _Program:
+    """A circuit compiled into steps for one call, with a mitigation plan's
+    corrections after the ops they follow. Each distinct gate (kind, angle,
+    qubits), noise channel and correction (support, coefficients) is
+    compiled once and kept while the steps' arrays fit ``_TABLE_BYTES``;
+    past that a step is rebuilt on every use. An op whose steps are all kept
+    is also looked up by its index, so the walk's many short re-evolutions
+    skip rebuilding its keys. Nothing outlives the call."""
+
+    def __init__(self, c: Circuit, density: bool, plan: MitigationPlan | None = None):
         self.c = c
         self.density = density
         self.budget = _TABLE_BYTES
         self.steps: dict = {}
         self.per_op: dict = {}
+        # Identity corrections multiply by exactly 1.0, so they are left out.
+        self.corrections = {
+            seg.stop - 1: seg.coeffs
+            for seg in (plan.segments if plan else ())
+            if seg.coeffs.coeffs[0] != 1.0 or seg.coeffs.coeffs[1:].any()
+        }
 
     def step(self, key, build):
         step = self.steps.get(key)
         if step is None:
             step = build()
-            size = sum(a.nbytes for a in step[1] if isinstance(a, np.ndarray))
+            size = _nbytes(step[1])
             if size <= self.budget:
                 self.steps[key] = step
                 self.budget -= size
         return step
 
     def op_steps(self, i: int) -> tuple:
-        """Op i's unitary step and, on the density path, its noise channel's."""
+        """Op i's unitary step and, on the density path, its noise channel's
+        and the correction that follows it."""
         steps = self.per_op.get(i)
         if steps is None:
             op, tag = self.c.ops[i], self.c.noise_tags[i]
+            fix = self.corrections.get(i)
             n = self.c.n
             angle = None if op.angle is None else op.angle.hex()  # keeps -0.0 apart
             gate = (op.kind, angle, op.qubits)
             builds = [(gate, lambda: unitary_step(unitary_of(op), op.qubits, n, self.density))]
             if self.density and tag is not None and not tag.is_noiseless():
                 builds.append(((tag, op.qubits), lambda: noise_step(tag, op.qubits, n)))
+            if fix is not None:
+                builds.append(((fix.support, fix.coeffs.tobytes()), lambda: mixture_step(fix, n)))
             steps = tuple(self.step(key, build) for key, build in builds)
             if all(key in self.steps for key, _ in builds):
                 self.per_op[i] = steps
@@ -118,9 +131,9 @@ class _Program:
 
     def evolve(self, state: np.ndarray, start: int, stop: int, owned: bool = False) -> np.ndarray:
         """Ops [start, stop): each op's unitary, then on the density path its
-        noise channel. The first step writes a new array unless ``owned``
-        (a complex state that nothing else refers to); every later step may
-        overwrite the state it is given."""
+        noise channel and correction. The first step writes a new array
+        unless ``owned`` (a complex state that nothing else refers to); every
+        later step may overwrite the state it is given."""
         for i in range(start, stop):
             for step in self.op_steps(i):
                 state, owned = run(state, step, owned), True
@@ -223,13 +236,20 @@ def _zero_density(n: int) -> np.ndarray:
     return rho
 
 
+def _density_expectation(c: Circuit, obs: Observable, mode: str | None) -> float:
+    """One density evolution of the noisy circuit, with the corrections of
+    ``mitigation_plan(c, mode)`` inserted when a mode is given."""
+    if c.n > DENSITY_GUARD:
+        raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
+    plan = None if mode is None else mitigation_plan(c, mode)
+    rho = _Program(c, True, plan).evolve(_zero_density(c.n), 0, len(c.ops), owned=True)
+    return obs.expectation_density(rho)
+
+
 def noisy_expectation(c: Circuit, obs: Observable) -> float:
     """Exact expectation under the circuit's noise tags (density matrix)."""
     _check_obs(c, obs)
-    if c.n > DENSITY_GUARD:
-        raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
-    rho = _Program(c, density=True).evolve(_zero_density(c.n), 0, len(c.ops), owned=True)
-    return obs.expectation_density(rho)
+    return _density_expectation(c, obs, None)
 
 
 def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float:
@@ -245,36 +265,15 @@ def exact_mitigated_expectation(c: Circuit, obs: Observable, mode: str) -> float
     value can remain at the uncorrected noisy expectation — in particular
     for observables that commute with every Z-string.
 
-    Evaluated by applying each slot's signed distribution as a Z-mixture
-    inside one density evolution — an exact distributive refactoring of the
-    tuple-by-tuple sum.
+    Evaluated as the noisy evolution of ``noisy_expectation`` with each
+    segment of ``mitigation_plan(c, mode)`` applied as a signed Z-mixture
+    after the segment's last op — an exact distributive refactoring of the
+    tuple-by-tuple sum. Raises InvalidArgument for an unknown mode before
+    GuardExceeded for n > 10.
     """
     _check_obs(c, obs)
-    if mode not in ("std", "blk", "hybrid"):
-        raise InvalidArgument(f"unknown mode {mode!r}")
-    if c.n > DENSITY_GUARD:
-        raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
-    # Each state below is owned by this call, so every step may overwrite it.
-    program = _Program(c, density=True)
-    if mode == "blk":
-        step = mixture_step(block_coefficients(c), c.n)
-        rho = program.evolve(_zero_density(c.n), 0, len(c.ops), owned=True)
-        return obs.expectation_density(run(rho, step, owned=True))
-    rho = _zero_density(c.n)
-    if mode == "std":
-        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
-            rho = program.evolve(rho, i, i + 1, owned=True)
-            if tag is not None and not tag.is_noiseless():
-                inverse = program.step(
-                    ("inverse", tag, op.qubits),
-                    lambda: mixture_step(layer_distribution(op, tag), c.n),
-                )
-                rho = run(rho, inverse, owned=True)
-        return obs.expectation_density(rho)
-    for seg in hybrid_plan(c).segments:
-        rho = program.evolve(rho, seg.start, seg.stop, owned=True)
-        rho = run(rho, mixture_step(seg.coeffs, c.n), owned=True)
-    return obs.expectation_density(rho)
+    _check_mode(mode)
+    return _density_expectation(c, obs, mode)
 
 
 @dataclass(frozen=True)
@@ -287,14 +286,7 @@ class EstimatorReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "sample_variance": self.sample_variance,
-            "n_samples": self.n_samples,
-            "gamma_used": self.gamma_used,
-            "mode": self.mode,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -307,48 +299,24 @@ class _Slot:
 
     after_op: int
     gmasks: np.ndarray
-    probs: np.ndarray
     cum: np.ndarray
     signs: np.ndarray
     gamma: float
 
 
-def _make_slot(after_op: int, gmasks: np.ndarray, coeffs: np.ndarray) -> _Slot | None:
-    keep = coeffs != 0.0
-    gmasks, coeffs = gmasks[keep], coeffs[keep]
-    gamma = float(np.abs(coeffs).sum())
-    if len(coeffs) == 1 and gmasks[0] == 0 and coeffs[0] > 0:
-        return None  # identity slot: nothing to draw
-    probs = np.abs(coeffs) / gamma
-    return _Slot(
-        after_op=after_op,
-        gmasks=gmasks,
-        probs=probs,
-        cum=np.cumsum(probs),
-        signs=np.sign(coeffs),
-        gamma=gamma,
-    )
-
-
 def _build_slots(c: Circuit, mode: str) -> tuple[list[_Slot], float]:
-    if mode == "std":
-        pairs = [
-            (i, layer_distribution(op, tag))
-            for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags))
-        ]
-    elif mode == "blk":
-        pairs = [(len(c.ops) - 1, block_coefficients(c))]
-    elif mode == "hybrid":
-        pairs = [(seg.stop - 1, seg.coeffs) for seg in hybrid_plan(c).segments]
-    else:
-        raise InvalidArgument(f"unknown mode {mode!r}")
+    """One slot per segment of the mode's plan that is not the identity."""
     slots: list[_Slot] = []
     gamma_total = 1.0
-    for after_op, mix in pairs:
-        slot = _make_slot(after_op, _global_masks(mix), mix.coeffs)
-        if slot is not None:
-            slots.append(slot)
-            gamma_total *= slot.gamma
+    for seg in mitigation_plan(c, mode).segments:
+        keep = seg.coeffs.coeffs != 0.0
+        gmasks, coeffs = _global_masks(seg.coeffs)[keep], seg.coeffs.coeffs[keep]
+        if len(coeffs) == 1 and gmasks[0] == 0 and coeffs[0] > 0:
+            continue  # identity slot: nothing to draw
+        gamma = float(np.abs(coeffs).sum())
+        cum = np.cumsum(np.abs(coeffs) / gamma)
+        slots.append(_Slot(seg.stop - 1, gmasks, cum, np.sign(coeffs), gamma))
+        gamma_total *= gamma
     return slots, gamma_total
 
 

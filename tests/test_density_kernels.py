@@ -357,7 +357,7 @@ def test_signs_and_pauli_channel_equal_reference(n):
                 assert np.array_equal(got, rho * z_sign_matrix(mask, n))
             assert np.array_equal(apply_z_string_density(rho, mask, n), got)
         for q in range(n):
-            got = kernels.pauli_channel(rho, forward.coeffs, (q,), n)
+            got = kernels.run(rho, kernels.noise_step(NoiseSpec("impure", 0.1, 0.7), (q,), n))
             assert np.array_equal(got, table_pauli1_density(rho, forward.coeffs, q, n))
 
 

@@ -207,6 +207,9 @@ def test_exact_mitigated_validation_and_guards():
     c = _bell_pair().with_noise(P01)
     with pytest.raises(InvalidArgument):
         exact_mitigated_expectation(c, Observable.z(2, 0), "turbo")
+    # The mode is checked before the density guard.
+    with pytest.raises(InvalidArgument):
+        exact_mitigated_expectation(Circuit(11, ()), Observable.z(11, 0), "turbo")
     with pytest.raises(GuardExceeded):
         exact_mitigated_expectation(Circuit(11, ()), Observable.z(11, 0), "std")
     # Exact std is one evolution, so 17 noisy two-qubit ops are no harder
@@ -225,6 +228,19 @@ def test_exact_mitigated_validation_and_guards():
     assert exact_mitigated_expectation(
         at_guard, Observable.z(2, 0), "std"
     ) == pytest.approx(target, abs=1e-10)
+
+
+def test_overflowing_plan_costs_raise_guard():
+    # 401 CNOTs at p = 0.4: every mode's plan cost overflows float64, so the
+    # estimate raises instead of reporting a NaN mean, and so does the exact
+    # value, which reads the same plan.
+    c = Circuit(2, tuple(GateOp("CNOT", (0, 1)) for _ in range(401)))
+    c = c.with_noise(NoiseSpec("uncorrelated", 0.4))
+    for mode in ("std", "blk", "hybrid"):
+        with pytest.raises(GuardExceeded):
+            pec_estimate(c, Observable.z(2, 0), mode, 10, 1)
+        with pytest.raises(GuardExceeded):
+            exact_mitigated_expectation(c, Observable.z(2, 0), mode)
 
 
 def test_tuple_enumeration_matches_distributive_sum():

@@ -24,6 +24,7 @@ from blockpec.blocks import (
     gamma_blk,
     gamma_std,
     hybrid_plan,
+    mitigation_plan,
 )
 from blockpec.circuits import Circuit
 from blockpec.classify import (
@@ -32,7 +33,8 @@ from blockpec.classify import (
     is_s1_bias_preserving,
     pauli_z_compatible,
 )
-from blockpec.gates import GATE_KINDS, GateOp
+from blockpec.errors import BlockPecError, InvalidArgument
+from blockpec.gates import GATE_KINDS, GateOp, expand_composite
 from blockpec.generators import gen_rbs_pyramid, gen_swap_network
 from blockpec.noise import NoiseSpec
 
@@ -68,13 +70,13 @@ noise_tags = st.one_of(
 
 
 @st.composite
-def tagged_circuits(draw, max_n=6, max_depth=10):
+def tagged_circuits(draw, max_n=6, max_depth=10, kinds=COMPATIBLE_KINDS):
     n = draw(st.integers(1, max_n))
     # The ops act on a drawn subset of the qubits, often a strict one.
     active = draw(
         st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True)
     )
-    usable = [k for k in COMPATIBLE_KINDS if GATE_KINDS[k][0] <= len(active)]
+    usable = [k for k in kinds if GATE_KINDS[k][0] <= len(active)]
     ops = []
     for _ in range(draw(st.integers(0, max_depth))):
         kind = draw(st.sampled_from(usable))
@@ -93,6 +95,36 @@ def tagged_circuits(draw, max_n=6, max_depth=10):
 @given(tagged_circuits())
 def test_engine_matches_forward_oracle(c):
     assert_matches_oracle(c)
+
+
+@st.composite
+def any_kind_circuits(draw):
+    """Circuits over every gate kind, with RY/CRY kept whole or expanded
+    into primitive gates that share the composite's noise tag."""
+    c = draw(tagged_circuits(kinds=tuple(GATE_KINDS)))
+    if draw(st.booleans()):
+        pairs = [(x, tag) for op, tag in zip(c.ops, c.noise_tags) for x in expand_composite(op)]
+        c = Circuit(c.n, tuple(x for x, _ in pairs), tuple(tag for _, tag in pairs))
+    return c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(any_kind_circuits())
+def test_mitigation_plans_match_costs_and_classifier(c):
+    for mode, cost in (("std", gamma_std), ("blk", gamma_blk)):
+        try:
+            want = cost(c)
+        except BlockPecError as exc:
+            with pytest.raises(BlockPecError) as info:
+                mitigation_plan(c, mode)
+            assert type(info.value) is type(exc)
+        else:
+            assert mitigation_plan(c, mode).total_gamma.hex() == want.hex()
+    plan = mitigation_plan(c, "hybrid")
+    blocks = tuple((seg.start, seg.stop) for seg in plan.segments if seg.kind == "block")
+    assert blocks == classify_circuit(c).segments
+    with pytest.raises(InvalidArgument):
+        mitigation_plan(c, "turbo")
 
 
 def _relabel(c: Circuit, width: int, qubit_of) -> Circuit:
