@@ -18,14 +18,12 @@ import numpy as np
 from .circuits import Circuit
 from .classify import maximal_segments
 from .conjugation import generator_images
-from .errors import GuardExceeded, InvalidArgument, NotZClosed, SingularChannel, Unsupported
+from .errors import GuardExceeded, InvalidArgument, NotZClosed, Unsupported
 from .gates import GateOp
 from .noise import (
-    _SINGULAR_TOL,
     NoiseSpec,
     ZMixtureChannel,
     fwht,
-    gamma_of,
     invert_z_mixture,
     make_dephasing,
 )
@@ -51,14 +49,6 @@ def layer_distribution(g: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
     return invert_z_mixture(make_dephasing(spec, support))
 
 
-def _global_masks(dist: ZMixtureChannel) -> np.ndarray:
-    """Global Z-string mask of each local coefficient index."""
-    out = np.zeros(len(dist.coeffs), dtype=np.int64)
-    for i, q in enumerate(dist.support):
-        out |= ((np.arange(len(dist.coeffs)) >> i) & 1) << q
-    return out
-
-
 def _finite(value: float, what: str) -> float:
     if not math.isfinite(value):
         raise GuardExceeded(f"{what} is {value}: the cost overflows float64")
@@ -74,8 +64,7 @@ class _GateTables:
     def __init__(self, n: int):
         self.n = n
         self._images: dict = {}
-        self._layers: dict = {}
-        self._log_walsh: dict = {}
+        self._noise: dict = {}
 
     def _images_of(self, op: GateOp):
         """local_images(op), or the NotZClosed that it raises, conjugated once
@@ -110,31 +99,21 @@ class _GateTables:
         """Whether the gate maps every Z-string to a Z-string."""
         return not isinstance(self._images_of(op), NotZClosed)
 
-    def layer(self, op: GateOp, spec: NoiseSpec | None) -> tuple[np.ndarray, float]:
-        """The coefficients of layer_distribution(op, spec), which depend on
-        the op's arity alone, and their gamma."""
+    def noise(self, op: GateOp, spec: NoiseSpec | None) -> tuple:
+        """Per (spec, op arity): the coefficients of layer_distribution(op,
+        spec), their gamma, and g(u) = FWHT(log lambda)(u) / 2^m over the
+        local strings u of the forward channel (local bit i = i-th qubit of
+        the sorted support), so that log lambda(t) = sum_u g(u)
+        (-1)^{|u & t|}; g is None when noiseless."""
         key = (spec, op.arity)
-        if key not in self._layers:
+        if key not in self._noise:
             dist = layer_distribution(op, spec)
-            self._layers[key] = (dist.coeffs, gamma_of(dist))
-        return self._layers[key]
-
-    def log_walsh(self, op: GateOp, spec: NoiseSpec | None) -> np.ndarray | None:
-        """g(u) = FWHT(log lambda)(u) / 2^m over the local strings u of the
-        op's noise (local bit i = i-th qubit of the sorted support), so that
-        log lambda(t) = sum_u g(u) (-1)^{|u & t|}; None when noiseless."""
-        if spec is None or spec.is_noiseless():
-            return None
-        key = (spec, op.arity)
-        if key not in self._log_walsh:
-            lam = make_dephasing(spec, range(op.arity)).eigenvalues()
-            if lam.min() < _SINGULAR_TOL:
-                raise SingularChannel(
-                    f"channel eigenvalue within {_SINGULAR_TOL} of zero; "
-                    "not invertible"
-                )
-            self._log_walsh[key] = fwht(np.log(lam)) / len(lam)
-        return self._log_walsh[key]
+            g_hat = None
+            if spec is not None and not spec.is_noiseless():
+                lam = make_dephasing(spec, range(op.arity)).eigenvalues()
+                g_hat = fwht(np.log(lam)) / len(lam)
+            self._noise[key] = (dist.coeffs, dist.gamma(), g_hat)
+        return self._noise[key]
 
 
 def _xor_of(rows, local_mask: int) -> int:
@@ -165,9 +144,12 @@ def _span_basis(rows) -> list[int]:
     return [basis[p] for p in pivots]
 
 
-def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> ZMixtureChannel:
-    """The block's effective noise (sign=+1) or its inverse (sign=-1) as a
-    Z-mixture, computed in the Walsh (eigenvalue) domain.
+def _walsh_engine(
+    c: Circuit, start: int, stop: int, tables: _GateTables, sign: float
+) -> ZMixtureChannel:
+    """The effective noise (sign=+1) of the block c.ops[start:stop], or its
+    inverse (sign=-1), as a Z-mixture computed in the Walsh (eigenvalue)
+    domain.
 
     Walking the ops backward keeps pushed[q], the mask that Z_q at the
     current point becomes at the block's end. A noisy op's channel, pushed to
@@ -180,16 +162,17 @@ def _walsh_engine(c: Circuit, tables: _GateTables, sign: float) -> ZMixtureChann
     vector of the m qubits the span's masks touch (r <= m <= the qubits the
     ops touch); masks outside the span stay exactly 0.
     """
+    ops = c.ops[start:stop]
     # Compile in circuit order so that the first offending op raises.
     compiled = [
-        (tables.local_images(op), tables.log_walsh(op, tag))
-        for op, tag in zip(c.ops, c.noise_tags)
+        (tables.local_images(op), tables.noise(op, tag)[2])
+        for op, tag in zip(ops, c.noise_tags[start:stop])
     ]
     pushed = [1 << q for q in range(c.n)]
     # Per arity m: the pushed masks of each noisy op's sorted qubits (m per
     # op, flat) and the op's Walsh weights.
     rows_by_arity: dict[int, tuple[list, list]] = {}
-    for op, (images, g_hat) in zip(reversed(c.ops), reversed(compiled)):
+    for op, (images, g_hat) in zip(reversed(ops), reversed(compiled)):
         if g_hat is not None:
             rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
             rows.extend(pushed[q] for q in sorted(op.qubits))
@@ -247,7 +230,7 @@ def block_coefficients(c: Circuit) -> ZMixtureChannel:
     GuardExceeded when the noise reaches more than 20 qubits or the
     coefficients overflow float64.
     """
-    return _walsh_engine(c, _GateTables(c.n), -1.0)
+    return _walsh_engine(c, 0, len(c.ops), _GateTables(c.n), -1.0)
 
 
 def effective_noise(c: Circuit) -> ZMixtureChannel:
@@ -257,7 +240,7 @@ def effective_noise(c: Circuit) -> ZMixtureChannel:
 
     The same Walsh-domain computation as block_coefficients, with the
     log-eigenvalues taken positive instead of negated."""
-    return _walsh_engine(c, _GateTables(c.n), 1.0)
+    return _walsh_engine(c, 0, len(c.ops), _GateTables(c.n), 1.0)
 
 
 def gamma_std(c: Circuit) -> float:
@@ -266,39 +249,13 @@ def gamma_std(c: Circuit) -> float:
     tables = _GateTables(c.n)
     total = 1.0
     for op, tag in zip(c.ops, c.noise_tags):
-        total *= tables.layer(op, tag)[1]
+        total *= tables.noise(op, tag)[1]
     return _finite(total, "gamma_std")
 
 
 def gamma_blk(c: Circuit) -> float:
     """Aggregated-control sampling cost; always <= gamma_std."""
     return _finite(block_coefficients(c).gamma(), "gamma_blk")
-
-
-def fold_noisy_controls(
-    b: ZMixtureChannel, spec: NoiseSpec | None
-) -> ZMixtureChannel:
-    """Rewrite the perfect-control distribution over noisy controls.
-
-    Each nontrivial control V' is realized as (dephasing on its support)
-    followed by V', so the perfect V' expands with the inverse of that
-    dephasing: beta_{V'}(W) = inv(W xor V'). The identity control needs no
-    gate and stays noiseless. Its L1 norm can only grow: gamma(delta) >=
-    gamma(alpha). The inverse depends only on how many qubits V' touches, so
-    it is built on the local bit positions of V' and XORed into local masks.
-    """
-    if spec is None or spec.is_noiseless():
-        return ZMixtureChannel(b.support, b.coeffs.copy())
-    delta = np.zeros(len(b.coeffs))
-    delta[0] = b.coeffs[0]
-    for mask in np.flatnonzero(b.coeffs).tolist():
-        if mask == 0:
-            continue
-        positions = tuple(i for i in range(b.m) if mask >> i & 1)
-        inv = invert_z_mixture(make_dephasing(spec, positions))
-        for local, beta in zip(_global_masks(inv), inv.coeffs):
-            delta[mask ^ local] += b.coeffs[mask] * beta
-    return ZMixtureChannel(b.support, delta)
 
 
 @dataclass(frozen=True)
@@ -321,7 +278,7 @@ class MitigationPlan:
     def to_json(self) -> str:
         payload = []
         for seg in self.segments:
-            masks = _global_masks(seg.coeffs).tolist()
+            masks = seg.coeffs.masks().tolist()
             pairs = [
                 [masks[i], float(seg.coeffs.coeffs[i])]
                 for i in np.flatnonzero(seg.coeffs.coeffs).tolist()
@@ -363,12 +320,12 @@ def mitigation_plan(c: Circuit, mode: str) -> MitigationPlan:
     while i < len(c.ops):
         if i in runs:
             start, stop = i, runs[i]
-            coeffs = _walsh_engine(c.subcircuit(start, stop), tables, -1.0)
+            coeffs = _walsh_engine(c, start, stop, tables, -1.0)
             g = coeffs.gamma()
             segments.append(PlanSegment("block", start, stop, g, coeffs))
             i = stop
         else:
-            coeffs, g = tables.layer(c.ops[i], c.noise_tags[i])
+            coeffs, g, _ = tables.noise(c.ops[i], c.noise_tags[i])
             dist = ZMixtureChannel(tuple(sorted(c.ops[i].qubits)), coeffs.copy())
             segments.append(PlanSegment("per_gate", i, i + 1, g, dist))
             i += 1

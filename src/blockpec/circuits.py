@@ -11,11 +11,21 @@ Angles are radians written/read with full float precision.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import CircuitParseError, InvalidArgument
 from .gates import GATE_KINDS, GateOp
 from .noise import NoiseSpec
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int. Anything that is not an integer, a bool or an
+    integral float included, raises InvalidArgument instead of being
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -26,6 +36,7 @@ class Circuit:
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integer(self.n, "qubit count n"))
         object.__setattr__(self, "ops", tuple(self.ops))
         if self.n < 1:
             raise InvalidArgument(f"need at least one qubit, got n={self.n}")

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, integer
 from .errors import DegenerateVector, InvalidArgument
 from .gates import GateOp, expand_composite
 
@@ -29,7 +29,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _rng(seed: int, family: str) -> np.random.Generator:
-    key = np.array([int(seed) & (2**64 - 1), _FAMILY_SALT[family]], dtype=np.uint64)
+    key = np.array([integer(seed, "seed") & (2**64 - 1), _FAMILY_SALT[family]], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -53,6 +53,7 @@ def gen_random_bp(n: int, seed: int) -> Circuit:
     """n+1 gates drawn uniformly from {X, Z, CNOT, RZ, RZZ, CZ} with uniform
     qubit placement (distinct ordered pairs for two-qubit kinds) and angles
     uniform in [0, 2*pi)."""
+    n = integer(n, "n")
     if n < 2:
         raise InvalidArgument(f"random_bp needs n >= 2, got {n}")
     rng = _rng(seed, "random_bp")
@@ -84,6 +85,7 @@ def gen_swap_network(
     """Brick-pattern network: depth_factor*n alternating layers of adjacent
     pairs, each pair applying the interaction (random angle) and then a SWAP
     compiled as 3 CNOTs (or left native with decompose_swap=False)."""
+    n = integer(n, "n")
     if n < 2:
         raise InvalidArgument(f"swap_network needs n >= 2, got {n}")
     if interaction not in ("rzz", "rbs"):
@@ -124,6 +126,7 @@ def _pyramid_pairs(n: int) -> list[tuple[int, int]]:
 def gen_rbs_pyramid(n: int, angles=None, seed: int | None = None) -> Circuit:
     """X on qubit 0 (seeding a one-hot state) followed by the pyramid of
     beam-splitter interactions, each compiled to the 3-gate sequence."""
+    n = integer(n, "n")
     if n < 2:
         raise InvalidArgument(f"rbs_pyramid needs n >= 2, got {n}")
     pairs = _pyramid_pairs(n)
@@ -140,7 +143,7 @@ def gen_rbs_pyramid(n: int, angles=None, seed: int | None = None) -> Circuit:
         ops.extend(rbs_sequence(j, k, theta))
     meta = {"family": "rbs_pyramid", "n": n, "prng": PRNG_NAME}
     if seed is not None:
-        meta["seed"] = int(seed)
+        meta["seed"] = integer(seed, "seed")
     return Circuit(n, tuple(ops), meta=meta)
 
 
@@ -150,6 +153,7 @@ def gen_option_payoff(n: int, angles=None, seed: int | None = None) -> Circuit:
     theta_j with control j-1 and target the ancilla. Y rotations are expanded
     into {Z, S, H, RZ} and controlled-Y into two CNOTs plus two half-angle Y
     rotations, so only the H gates break Z-string compatibility."""
+    n = integer(n, "n")
     if n < 1:
         raise InvalidArgument(f"option_payoff needs n >= 1, got {n}")
     n_angles = n + 1
@@ -167,7 +171,7 @@ def gen_option_payoff(n: int, angles=None, seed: int | None = None) -> Circuit:
         ops.extend(expand_composite(GateOp("CRY", (j - 1, ancilla), angles[j])))
     meta = {"family": "option_payoff", "n": n, "prng": PRNG_NAME}
     if seed is not None:
-        meta["seed"] = int(seed)
+        meta["seed"] = integer(seed, "seed")
     return Circuit(n + 1, tuple(ops), meta=meta)
 
 

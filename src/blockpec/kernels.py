@@ -8,10 +8,10 @@ step:
 - ``gather``: a gate whose matrix has one nonzero entry per row, each in
   {+-1, +-i} (X, Z, S, CZ, CNOT, SWAP, TOFFOLI, the Paulis), moves every
   entry from its source index, then multiplies by a local phase tensor; a
-  diagonal one (Z, S, CZ) moves nothing and only multiplies. On a density
-  matrix whose trailing index bits after the gate's qubits run long, the move
-  copies the K^2 slice blocks of the (2,)*2n view instead of indexing every
-  entry;
+  diagonal one (Z, S, CZ, a drawn Z-string) moves nothing and only
+  multiplies. On a density matrix whose trailing index bits after the gate's
+  qubits run long, the move copies the K^2 slice blocks of the (2,)*2n view
+  instead of indexing every entry;
 - ``broadcast``: a Z-mixture multiplies each coherence rho_{xy} by its
   Walsh-Hadamard eigenvalue at the support pattern of x xor y, a local factor
   on the support's row and column axes of the (2,)*2n view; when the support
@@ -20,14 +20,16 @@ step:
 - ``dense``: every other gate on ascending adjacent qubits q0..q0+k-1 is a
   ``np.matmul`` of the 2^k x 2^k matrix with the state's (2^q0, 2^k, rest)
   view (then of its conjugate with the columns' view); a gate on any other
-  qubit tuple is contracted with ``np.tensordot``.
+  qubit tuple is contracted with ``np.tensordot``;
+- ``pauli_channel``: impure noise sums its weighted single-qubit Pauli
+  conjugations, one qubit at a time, each Pauli a gather step.
 
 Public wrappers return new arrays; evolve owns its intermediates. A kernel
 called with ``owned=False`` leaves ``state`` untouched and returns a new
 array. With ``owned=True`` (a complex state that nothing else refers to) it may
-overwrite ``state``: the elementwise multiplies of gather, broadcast and signs
-run in place, and a dense step on a large state reuses the state's buffer
-for its intermediates, so it holds two 2^2n arrays instead of up to four.
+overwrite ``state``: the elementwise multiplies of gather and broadcast run
+in place, and a dense step on a large state reuses the state's buffer for its
+intermediates, so it holds two 2^2n arrays instead of up to four.
 
 Gather and broadcast multiply each entry by the exact unit or the eigenvalue
 that the tensordot contraction or a full 2^n x 2^n coherence table would, so
@@ -216,15 +218,6 @@ def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple, owned: bool 
     return out.reshape(state.shape)
 
 
-def signs(state: np.ndarray, s: np.ndarray, owned: bool = False) -> np.ndarray:
-    """A Z-string: its 2^n sign vector on the rows (and on the columns)."""
-    if state.ndim == 1:
-        return np.multiply(state, s, out=state) if owned else state * s
-    out = np.multiply(state, s[:, None], out=state) if owned else state * s[:, None]
-    out *= s
-    return out
-
-
 def pauli_channel(rho: np.ndarray, terms: tuple, owned: bool = False) -> np.ndarray:
     """rho -> sum_P c_P P rho P^dag over the single-qubit Paulis, one qubit
     at a time: ``terms`` holds each qubit's (c_P, step of P) pairs, summed
@@ -318,8 +311,9 @@ def mixture_step(mix: ZMixtureChannel, n: int):
 
 
 def sign_step(mask: int, n: int):
-    """The Z-string ``mask`` (bit q for qubit q) as two 2^n sign vectors."""
-    return signs, (z_sign_vector(mask, n),)
+    """The Z-string ``mask`` (bit q for qubit q): a diagonal gather whose
+    phase is its 2^n sign vector."""
+    return gather, (None, z_sign_vector(mask, n))
 
 
 def noise_step(tag, qubits, n: int):

@@ -123,13 +123,27 @@ class ZMixtureChannel:
 
     @classmethod
     def identity(cls, support=()) -> "ZMixtureChannel":
-        coeffs = np.zeros(1 << len(tuple(support)))
+        support = tuple(support)
+        coeffs = np.zeros(1 << len(support))
         coeffs[0] = 1.0
-        return cls(tuple(support), coeffs)
+        return cls(support, coeffs)
 
     @property
     def m(self) -> int:
         return len(self.support)
+
+    def masks(self) -> np.ndarray:
+        """Global Z-string mask (bit q for qubit q) of each local index."""
+        local = np.arange(len(self.coeffs))
+        out = np.zeros(len(self.coeffs), dtype=np.int64)
+        for i, q in enumerate(self.support):
+            out |= ((local >> i) & 1) << q
+        return out
+
+    def is_identity(self) -> bool:
+        """Whether the coefficients are exactly [1, 0, ...]: applying the
+        mixture multiplies by exactly 1.0 and it has nothing to draw."""
+        return bool(self.coeffs[0] == 1.0 and not self.coeffs[1:].any())
 
     def coeff(self, local_mask: int) -> float:
         return float(self.coeffs[local_mask])

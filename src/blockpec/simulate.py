@@ -18,8 +18,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .blocks import MitigationPlan, _check_mode, _global_masks, mitigation_plan
-from .circuits import Circuit
+from .blocks import MitigationPlan, _check_mode, mitigation_plan
+from .circuits import Circuit, integer
 from .errors import (
     GuardExceeded,
     InvalidArgument,
@@ -96,7 +96,7 @@ class _Program:
         self.corrections = {
             seg.stop - 1: seg.coeffs
             for seg in (plan.segments if plan else ())
-            if seg.coeffs.coeffs[0] != 1.0 or seg.coeffs.coeffs[1:].any()
+            if not seg.coeffs.is_identity()
         }
 
     def step(self, key, build):
@@ -309,10 +309,10 @@ def _build_slots(c: Circuit, mode: str) -> tuple[list[_Slot], float]:
     slots: list[_Slot] = []
     gamma_total = 1.0
     for seg in mitigation_plan(c, mode).segments:
+        if seg.coeffs.is_identity():
+            continue
         keep = seg.coeffs.coeffs != 0.0
-        gmasks, coeffs = _global_masks(seg.coeffs)[keep], seg.coeffs.coeffs[keep]
-        if len(coeffs) == 1 and gmasks[0] == 0 and coeffs[0] > 0:
-            continue  # identity slot: nothing to draw
+        gmasks, coeffs = seg.coeffs.masks()[keep], seg.coeffs.coeffs[keep]
         gamma = float(np.abs(coeffs).sum())
         cum = np.cumsum(np.abs(coeffs) / gamma)
         slots.append(_Slot(seg.stop - 1, gmasks, cum, np.sign(coeffs), gamma))
@@ -458,6 +458,7 @@ def pec_estimate(
     _check_count("n_samples", n_samples)
     if shots is not None:
         _check_count("shots", shots)
+    seed = integer(seed, "seed")
     if c.n > STATEVECTOR_GUARD:
         raise GuardExceeded(f"estimator refused for n={c.n} > {STATEVECTOR_GUARD}")
     slots, gamma_total = _build_slots(c, mode)
@@ -487,7 +488,7 @@ def pec_estimate(
                     "impure noise is density-only; statevector path unsupported"
                 )
             mix = make_dephasing(tag, tuple(sorted(op.qubits)))
-            gmasks = _global_masks(mix)
+            gmasks = mix.masks()
             cum = np.cumsum(mix.coeffs)
             draw = np.minimum(
                 np.searchsorted(cum, rng.random(n_samples), side="right"),
@@ -514,7 +515,7 @@ def pec_estimate(
         n_samples=int(n_samples),
         gamma_used=gamma_total,
         mode=mode,
-        seed=int(seed),
+        seed=seed,
     )
 
 

@@ -14,7 +14,6 @@ from blockpec.blocks import (
     analytic_pattern_gammas,
     block_coefficients,
     effective_noise,
-    fold_noisy_controls,
     gamma_blk,
     gamma_std,
     hybrid_plan,
@@ -185,31 +184,6 @@ def test_incompatible_gate_raises():
     c = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1)))).with_noise(P01)
     with pytest.raises(NotZClosed):
         block_coefficients(c)
-
-
-def test_fold_noisy_controls():
-    c = Circuit(1, (GateOp("RZ", (0,), 0.3),)).with_noise(P01)
-    b = block_coefficients(c)
-    assert np.allclose(b.coeffs, [1.125, -0.125], atol=1e-15)
-    folded = fold_noisy_controls(b, P01)
-    assert np.allclose(folded.coeffs, [1.140625, -0.140625], atol=1e-12)
-    assert folded.total() == pytest.approx(1.0)
-    assert folded.gamma() >= b.gamma()
-
-    quiet = fold_noisy_controls(b, None)
-    assert np.array_equal(quiet.coeffs, b.coeffs)
-
-
-def test_fold_gamma_monotone_random():
-    rng = np.random.default_rng(53)
-    for _ in range(20):
-        n = int(rng.integers(1, 4))
-        c = random_circuit(rng, n, int(rng.integers(1, 5)), EXACT_KINDS)
-        spec = NoiseSpec("uncorrelated", float(rng.uniform(0.01, 0.3)))
-        b = block_coefficients(c.with_noise(spec))
-        folded = fold_noisy_controls(b, spec)
-        assert folded.gamma() >= b.gamma() - 1e-12
-        assert folded.total() == pytest.approx(b.total(), abs=1e-12)
 
 
 def test_hybrid_plan_mixed_circuit():

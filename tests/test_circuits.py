@@ -109,6 +109,17 @@ def test_circuit_validation():
         Circuit(2, (GateOp("X", (0, 1)),))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", None, True])
+def test_circuit_refuses_non_integer_qubit_counts(n):
+    with pytest.raises(InvalidArgument, match="n must be an integer"):
+        Circuit(n, ())
+
+
+def test_circuit_takes_numpy_integer_qubit_counts_as_int():
+    c = Circuit(np.int64(2), (GateOp("CNOT", (0, 1)),))
+    assert type(c.n) is int and c == Circuit(2, (GateOp("CNOT", (0, 1)),))
+
+
 def test_with_noise_and_views():
     c = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1)), GateOp("Z", (1,))))
     spec = NoiseSpec("uncorrelated", 0.1)

@@ -116,6 +116,9 @@ def test_monomial_gates_take_the_gather_step():
         assert kernels.unitary_step(unitary_of(op), op.qubits, 3, True)[0] is kernels.dense
     for label, pauli in kernels.PAULI_1Q.items():
         assert kernels.unitary_step(pauli, (0,), 1, True)[0] is kernels.gather, label
+    for mask in range(8):
+        kernel, (src, phase) = kernels.sign_step(mask, 3)
+        assert kernel is kernels.gather and src is None and phase.shape == (8,), mask
 
 
 DENSE_OPS = (

@@ -44,6 +44,43 @@ def test_generators_deterministic():
         assert serialize_circuit(build(7)) != serialize_circuit(build(8))
 
 
+@pytest.mark.parametrize("seed", [0.5, 1.0, "a", True])
+def test_generators_refuse_non_integer_seeds(seed):
+    for build in (
+        lambda: gen_random_bp(4, seed),
+        lambda: gen_swap_network(4, 1.0, "rzz", seed),
+        lambda: gen_rbs_pyramid(4, seed=seed),
+        lambda: gen_rbs_pyramid(2, angles=[0.1], seed=seed),  # recorded only
+        lambda: gen_option_payoff(3, seed=seed),
+    ):
+        with pytest.raises(InvalidArgument, match="seed must be an integer"):
+            build()
+
+
+def test_generators_refuse_a_missing_seed():
+    with pytest.raises(InvalidArgument, match="seed must be an integer"):
+        gen_random_bp(4, None)
+    with pytest.raises(InvalidArgument, match="seed must be an integer"):
+        gen_swap_network(4, 1.0, "rzz", None)
+
+
+def test_generators_accept_numpy_integer_seeds():
+    assert gen_swap_network(4, 1.0, "rzz", np.int64(5)) == gen_swap_network(4, 1.0, "rzz", 5)
+    assert gen_option_payoff(3, seed=np.int32(5)).meta["seed"] == 5
+
+
+@pytest.mark.parametrize("n", [3.0, 4.5, "4", None, True])
+def test_generators_refuse_non_integer_qubit_counts(n):
+    for build in (
+        lambda: gen_random_bp(n, 0),
+        lambda: gen_swap_network(n, 1.0, "rzz", 0),
+        lambda: gen_rbs_pyramid(n, seed=0),
+        lambda: gen_option_payoff(n, seed=0),
+    ):
+        with pytest.raises(InvalidArgument, match="n must be an integer"):
+            build()
+
+
 def test_rbs_sequence_structure():
     seq = rbs_sequence(1, 2, 0.4)
     assert [g.kind for g in seq] == ["CNOT", "XCZ", "CNOT"]

@@ -74,6 +74,35 @@ def test_z_mixture_validation():
     assert ident.m == 2
 
 
+def test_identity_reads_a_one_shot_support_once():
+    ident = ZMixtureChannel.identity(q for q in (0, 3))
+    assert ident.support == (0, 3)
+    assert np.array_equal(ident.coeffs, [1.0, 0.0, 0.0, 0.0])
+
+
+def test_masks_follow_the_support_bits():
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        m = int(rng.integers(0, 5))
+        support = tuple(int(q) for q in rng.permutation(12)[:m])
+        mix = ZMixtureChannel(support, rng.standard_normal(1 << m))
+        want = [
+            sum(1 << q for i, q in enumerate(support) if local >> i & 1)
+            for local in range(1 << m)
+        ]
+        assert mix.masks().tolist() == want
+
+
+def test_is_identity_only_for_exactly_one_then_zeros():
+    assert ZMixtureChannel.identity().is_identity()
+    assert ZMixtureChannel.identity((2, 0)).is_identity()
+    assert ZMixtureChannel((1,), [1.0, -0.0]).is_identity()
+    for coeffs in ([1.0, 1e-300], [np.nextafter(1.0, 0.0), 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, -1.0]):
+        assert not ZMixtureChannel((0,), coeffs).is_identity(), coeffs
+    assert not ZMixtureChannel((), [0.5]).is_identity()
+    assert not make_dephasing(NoiseSpec("uncorrelated", 0.1), (0, 1)).is_identity()
+
+
 def test_make_dephasing_uncorrelated():
     ch = make_dephasing(NoiseSpec("uncorrelated", 0.1), (0,))
     assert np.allclose(ch.coeffs, [0.9, 0.1], atol=1e-15)

@@ -454,6 +454,21 @@ def test_pec_estimate_refuses_non_integer_counts(n_samples, shots):
         pec_estimate(c, Observable.z(2, 0), "std", n_samples, 1, shots=shots)
 
 
+@pytest.mark.parametrize("seed", [1.5, 1.0, "a", None, True, np.bool_(False)])
+def test_pec_estimate_refuses_non_integer_seeds(seed):
+    c = _bell_pair().with_noise(P01)
+    with pytest.raises(InvalidArgument, match="seed must be an integer"):
+        pec_estimate(c, Observable.z(2, 0), "std", 10, seed)
+
+
+def test_pec_estimate_accepts_numpy_integer_seeds():
+    c = _bell_pair().with_noise(P01)
+    obs = Observable.z(2, 0)
+    report = pec_estimate(c, obs, "std", 40, np.int64(3))
+    assert report == pec_estimate(c, obs, "std", 40, 3)
+    assert type(report.seed) is int
+
+
 def test_pec_estimate_accepts_numpy_integer_counts():
     c = _bell_pair().with_noise(P01)
     obs = Observable.z(2, 0)
