@@ -17,7 +17,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .classify import maximal_segments
-from .conjugation import generator_images
+from .conjugation import local_images
 from .errors import GuardExceeded, InvalidArgument, NotZClosed, Unsupported
 from .gates import GateOp
 from .noise import (
@@ -27,6 +27,7 @@ from .noise import (
     invert_z_mixture,
     make_dephasing,
 )
+from .pauli import PauliZString
 
 # Widest block correction built: a block whose noise reaches more qubits
 # raises GuardExceeded before any 2^r array exists.
@@ -67,37 +68,29 @@ class _GateTables:
         self._noise: dict = {}
 
     def _images_of(self, op: GateOp):
-        """local_images(op), or the NotZClosed that it raises, conjugated once
-        per (kind, angle). The kept error is a copy that is never raised, so
-        it holds no frames (the raised one would tie the tables into a
-        reference cycle); it names the first op that failed."""
+        """conjugation.local_images(op) once per (kind, angle), None when
+        the gate maps every generator to itself."""
         key = (op.kind, op.angle)
         if key not in self._images:
-            try:
-                imgs = generator_images(op, self.n)
-            except NotZClosed as exc:
-                self._images[key] = NotZClosed(exc.gate, exc.zstring)
-                return self._images[key]
-            local = tuple(
-                sum(1 << b for b, qb in enumerate(op.qubits) if imgs[q] >> qb & 1)
-                for q in op.qubits
-            )
-            identity = all(m == 1 << a for a, m in enumerate(local))
-            self._images[key] = None if identity else local
+            images = local_images(op)
+            identity = all(m == 1 << a for a, m in enumerate(images))
+            self._images[key] = None if identity else images
         return self._images[key]
 
     def local_images(self, op: GateOp) -> tuple[int, ...] | None:
         """Local mask (bit b = op.qubits[b]) of the image of each generator
         Z_{op.qubits[a]}; None when the gate maps every generator to itself.
-        Raises NotZClosed for a gate that leaves the Z-string group."""
+        Raises NotZClosed, naming the op and its first qubit whose generator
+        leaves the Z-string group."""
         images = self._images_of(op)
-        if isinstance(images, NotZClosed):
-            raise NotZClosed(images.gate, images.zstring)
+        if None in (images or ()):
+            q = op.qubits[images.index(None)]
+            raise NotZClosed(op, PauliZString.single(self.n, q))
         return images
 
     def z_closed(self, op: GateOp) -> bool:
         """Whether the gate maps every Z-string to a Z-string."""
-        return not isinstance(self._images_of(op), NotZClosed)
+        return None not in (self._images_of(op) or ())
 
     def noise(self, op: GateOp, spec: NoiseSpec | None) -> tuple:
         """Per (spec, op arity): the coefficients of layer_distribution(op,

@@ -11,21 +11,11 @@ Angles are radians written/read with full float precision.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 from .errors import CircuitParseError, InvalidArgument
-from .gates import GATE_KINDS, GateOp
+from .gates import GATE_KINDS, GateOp, integer
 from .noise import NoiseSpec
-
-
-def integer(value, what: str) -> int:
-    """``value`` as an int. Anything that is not an integer, a bool or an
-    integral float included, raises InvalidArgument instead of being
-    truncated."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -48,6 +38,9 @@ class Circuit:
             tags = (None,) * len(self.ops)
         if len(tags) != len(self.ops):
             raise InvalidArgument("need one noise tag per op")
+        if not set(map(type, tags)) <= {type(None), NoiseSpec}:
+            bad = next(t for t in tags if t is not None and type(t) is not NoiseSpec)
+            raise InvalidArgument(f"a noise tag must be None or a NoiseSpec, got {bad!r}")
         object.__setattr__(self, "noise_tags", tags)
 
     def __len__(self) -> int:

@@ -1,10 +1,12 @@
 """Commuting phase-flip strings through gates.
 
-`conjugate_z_string(g, s)` returns the string s' with, at the channel level,
-(gate channel) o (Z_s channel) = (Z_{s'} channel) o (gate channel). It is
-computed numerically: U Z_s U^dag is matched, up to a unit-modulus global
-phase, against the Z-strings on the gate's support. Phases are discarded
-because conjugation channels rho -> V rho V^dag cannot see them.
+U Z_s U^dag is matched numerically, up to a unit-modulus global phase,
+against the Z-strings on the gate's support; phases are discarded because
+conjugation channels rho -> V rho V^dag cannot see them. The block engine
+and the classifier read `local_images(g)`: each generator's image as a local
+mask, from one unitary per gate. `conjugate_z_string(g, s)`, the s' with
+(gate channel) o (Z_s channel) = (Z_{s'} channel) o (gate channel), and
+`generator_images(g, n)` are the reference route on n-qubit strings.
 
 Two kinds are exempt from the numeric match. XCZ and RBS carry a documented
 pass-through rule (strings commute unchanged): XCZ commutes exactly with Z
@@ -28,27 +30,40 @@ PASS_THROUGH_KINDS = frozenset({"XCZ", "RBS"})
 _TOL = 1e-10
 
 
+def _match(u: np.ndarray, local_mask: int, arity: int) -> int | None:
+    """The local mask t with U Z_local U^dag = (phase) Z_t, or None. Z_t
+    has sign (-1)^{t_a} at the index where only local bit a is set, so t is
+    read there and then checked against the whole diagonal."""
+    m = (u * local_z_diag(local_mask, arity)[np.newaxis, :]) @ u.conj().T
+    diag = np.diagonal(m)
+    if np.abs(m - np.diag(diag)).max() > _TOL or abs(abs(diag[0]) - 1.0) > _TOL:
+        return None
+    ratios = diag / diag[0]
+    t = sum(1 << a for a in range(arity) if ratios[1 << (arity - 1 - a)].real < 0)
+    if np.abs(ratios - local_z_diag(t, arity)).max() > _TOL:
+        return None
+    return t
+
+
+def local_images(g: GateOp) -> tuple[int | None, ...]:
+    """Local mask (bit b = g.qubits[b]) of the image of each generator
+    Z_{g.qubits[a]}, or None for a generator that leaves the Z-string group.
+    Pass-through kinds map every generator to itself."""
+    if g.kind in PASS_THROUGH_KINDS:
+        return tuple(1 << a for a in range(g.arity))
+    u = unitary_of(g)
+    return tuple(_match(u, 1 << a, g.arity) for a in range(g.arity))
+
+
 def numeric_conjugate_local(g: GateOp, local_mask: int) -> int:
     """Match U Z_local U^dag against local Z-strings; returns the matched
     local mask or raises NotZClosed. Local mask bit a refers to g.qubits[a]."""
-    arity = g.arity
     if local_mask == 0:
         return 0
-    u = unitary_of(g)
-    z = local_z_diag(local_mask, arity)
-    m = (u * z[np.newaxis, :]) @ u.conj().T
-    diag = np.diagonal(m)
-    off = m - np.diag(diag)
-    if np.abs(off).max() > _TOL:
+    t = _match(unitary_of(g), local_mask, g.arity)
+    if t is None:
         raise NotZClosed(g, local_mask)
-    phase = diag[0]
-    if abs(abs(phase) - 1.0) > _TOL:
-        raise NotZClosed(g, local_mask)
-    ratios = diag / phase
-    for t in range(1 << arity):
-        if np.abs(ratios - local_z_diag(t, arity)).max() <= _TOL:
-            return t
-    raise NotZClosed(g, local_mask)
+    return t
 
 
 def conjugate_z_string(g: GateOp, s: PauliZString) -> PauliZString:

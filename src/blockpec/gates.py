@@ -9,6 +9,7 @@ diag(e^{-i theta/2}, e^{+i theta/2}).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,20 @@ GATE_KINDS: dict[str, tuple[int, bool]] = {
 COMPOSITE_KINDS = ("RY", "CRY")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer; a bool or an integral
+    float is not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int. Anything that is not an integer raises
+    InvalidArgument instead of being truncated."""
+    if not is_integer(value):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GateOp:
     kind: str
@@ -48,7 +63,9 @@ class GateOp:
     def __post_init__(self):
         kind = self.kind.upper()
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        # Plain ints skip the abstract-class test of ``integer``.
+        qubits = tuple(q if type(q) is int else integer(q, "qubit index") for q in self.qubits)
+        object.__setattr__(self, "qubits", qubits)
         if kind not in GATE_KINDS:
             raise UnsupportedGate(f"unknown gate kind {kind!r}")
         arity, takes_angle = GATE_KINDS[kind]

@@ -8,12 +8,13 @@ metadata so outputs are re-runnable bit-for-bit.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
-from .circuits import Circuit, integer
+from .circuits import Circuit
 from .errors import DegenerateVector, InvalidArgument
-from .gates import GateOp, expand_composite
+from .gates import GateOp, expand_composite, integer
 
 PRNG_NAME = "philox4x64-v1"
 
@@ -41,6 +42,16 @@ def rbs_sequence(j: int, k: int, theta: float) -> list[GateOp]:
         GateOp("XCZ", (j, k), theta),
         GateOp("CNOT", (j, k)),
     ]
+
+
+def _angles(angles, count: int, family: str, n: int) -> list[float]:
+    try:
+        angles = [float(a) for a in angles]
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"{family} angles must be real numbers: {exc}") from None
+    if len(angles) != count:
+        raise InvalidArgument(f"{family} n={n} needs {count} angles, got {len(angles)}")
+    return angles
 
 
 def _swap_sequence(a: int, b: int, decompose: bool) -> list[GateOp]:
@@ -90,8 +101,9 @@ def gen_swap_network(
         raise InvalidArgument(f"swap_network needs n >= 2, got {n}")
     if interaction not in ("rzz", "rbs"):
         raise InvalidArgument(f"interaction must be 'rzz' or 'rbs', got {interaction!r}")
-    if not (math.isfinite(depth_factor) and depth_factor > 0):
-        raise InvalidArgument(f"depth_factor must be finite and positive, got {depth_factor}")
+    real = isinstance(depth_factor, numbers.Real) and not isinstance(depth_factor, bool)
+    if not (real and math.isfinite(depth_factor) and depth_factor > 0):
+        raise InvalidArgument(f"depth_factor must be a finite positive number, got {depth_factor!r}")
     rng = _rng(seed, "swap_network")
     ops = []
     for layer in range(int(round(depth_factor * n))):
@@ -135,9 +147,7 @@ def gen_rbs_pyramid(n: int, angles=None, seed: int | None = None) -> Circuit:
             raise InvalidArgument("rbs_pyramid needs angles or a seed")
         rng = _rng(seed, "rbs_pyramid")
         angles = [float(rng.uniform(0.0, _TWO_PI)) for _ in pairs]
-    angles = [float(a) for a in angles]
-    if len(angles) != len(pairs):
-        raise InvalidArgument(f"rbs_pyramid n={n} needs {len(pairs)} angles, got {len(angles)}")
+    angles = _angles(angles, len(pairs), "rbs_pyramid", n)
     ops = [GateOp("X", (0,))]
     for (j, k), theta in zip(pairs, angles):
         ops.extend(rbs_sequence(j, k, theta))
@@ -162,9 +172,7 @@ def gen_option_payoff(n: int, angles=None, seed: int | None = None) -> Circuit:
             raise InvalidArgument("option_payoff needs angles or a seed")
         rng = _rng(seed, "option_payoff")
         angles = [float(rng.uniform(0.0, _TWO_PI)) for _ in range(n_angles)]
-    angles = [float(a) for a in angles]
-    if len(angles) != n_angles:
-        raise InvalidArgument(f"option_payoff n={n} needs {n_angles} angles, got {len(angles)}")
+    angles = _angles(angles, n_angles, "option_payoff", n)
     ancilla = n
     ops = list(expand_composite(GateOp("RY", (ancilla,), angles[0])))
     for j in range(1, n + 1):
@@ -183,9 +191,14 @@ def gen_unary_loader(x) -> Circuit:
     amplitude x[j] on the one-hot state of qubit j. The final angle's sign is
     flipped when x[-1] < 0, which loads every sign pattern exactly.
     """
-    x = np.asarray(x, dtype=float)
+    try:
+        x = np.asarray(x, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"loader needs a real vector: {exc}") from None
     if x.ndim != 1 or x.size < 2:
         raise InvalidArgument(f"loader needs a real vector of dimension >= 2, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InvalidArgument(f"loader entries must be finite, got {x.tolist()}")
     norm = float(np.linalg.norm(x))
     if norm < 1e-12:
         raise DegenerateVector("cannot load the zero vector")

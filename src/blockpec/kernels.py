@@ -287,27 +287,18 @@ def unitary_step(u: np.ndarray, qubits, n: int, density: bool):
 
 def mixture_step(mix: ZMixtureChannel, n: int):
     """A broadcast step for a (possibly signed) Z-mixture on a density matrix."""
-    lam = mix.eigenvalues()
-    # The eigenvalues do not depend on support qubits that no nonzero
-    # coefficient touches, so the factor leaves those qubits out.
-    used = int(np.bitwise_or.reduce(np.flatnonzero(mix.coeffs), initial=0))
-    bits = [a for a in range(mix.m) if used >> a & 1]
-    kept = [mix.support[a] for a in bits]
-    r = len(kept)
+    lam = mix.eigenvalues()  # pattern bit i <-> qubit mix.support[i]
+    support, r = mix.support, mix.m
     patterns = np.arange(1 << r)
-    sub = np.zeros(1 << r, dtype=np.intp)
-    for i, a in enumerate(bits):
-        sub |= ((patterns >> i) & 1) << a
-    lam = lam[sub]  # pattern bit i <-> qubit kept[i]
-    j = max(0, 2 * r - n - _FACTOR_SLACK)  # looped qubits: kept[r-j:]
+    j = max(0, 2 * r - n - _FACTOR_SLACK)  # looped qubits: support[r-j:]
     rows = np.arange(1 << (r - j))
     local = lam[rows[:, None] ^ patterns[None, :]].reshape((2,) * (2 * r - j))
-    axes = [kept[i] for i in reversed(range(r - j))] + [n + kept[i] for i in reversed(range(r))]
+    axes = [support[i] for i in reversed(range(r - j))] + [n + support[i] for i in reversed(range(r))]
     factor = _place(local, axes, 2 * n)
     w = min(n, _RUN_QUBITS)
-    if kept and max(kept) >= n - w:
+    if support and max(support) >= n - w:
         factor = np.ascontiguousarray(np.broadcast_to(factor, factor.shape[: 2 * n - w] + (2,) * w))
-    return broadcast, (factor, tuple(kept[r - j:]))
+    return broadcast, (factor, support[r - j:])
 
 
 def sign_step(mask: int, n: int):

@@ -2,8 +2,8 @@
 
 Statevector simulation covers ideal circuits up to n = 14; exact noisy
 evolution uses a dense density matrix up to n = 10. Each call compiles its
-circuit once into the gather, broadcast and dense steps of ``kernels``: one
-step per distinct gate, noise channel and correction, no 2^n x 2^n tables.
+circuit once into the steps of ``kernels``: one step per distinct gate,
+noise channel and correction, no 2^n x 2^n tables.
 Results are bitwise those of plain tensordot contractions and full
 coherence-factor tables. The Monte Carlo estimator draws correction strings
 per sample from a single keyed counter-based stream, so results are bitwise
@@ -19,13 +19,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .blocks import MitigationPlan, _check_mode, mitigation_plan
-from .circuits import Circuit, integer
+from .circuits import Circuit
 from .errors import (
     GuardExceeded,
     InvalidArgument,
     InvalidSamples,
 )
-from .gates import unitary_of
+from .gates import integer, is_integer, unitary_of
 from .kernels import (
     mixture_step,
     noise_step,
@@ -141,7 +141,7 @@ class _Program:
 
 
 def _check_index(name: str, value, size: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not 0 <= value < size:
+    if not is_integer(value) or not 0 <= value < size:
         raise InvalidArgument(f"{name} must be an integer in [0, {size}), got {value!r}")
 
 
@@ -418,7 +418,7 @@ def _trajectory_outcomes(
 
 
 def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not is_integer(value) or value < 1:
         raise InvalidSamples(f"{name} must be a positive integer, got {value!r}")
 
 

@@ -18,6 +18,7 @@ from blockpec.blocks import (
     gamma_std,
     hybrid_plan,
     layer_distribution,
+    mitigation_plan,
     pattern_circuit,
 )
 from blockpec.circuits import Circuit
@@ -30,6 +31,7 @@ from blockpec.errors import (
 from blockpec.gates import GateOp
 from blockpec.generators import gen_option_payoff
 from blockpec.noise import NoiseSpec, invert_z_mixture
+from blockpec.pauli import PauliZString
 
 P01 = NoiseSpec("uncorrelated", 0.1)
 
@@ -315,3 +317,16 @@ def test_cost_scales_subquadratically_in_depth():
     # Linear depth scaling predicts a factor ~8 between d=4 and d=32; allow a
     # wide margin but rule out quadratic (factor 64) growth.
     assert times[32] <= 32 * max(times[4], 1e-5)
+
+
+@pytest.mark.parametrize("bad, qubit", [(GateOp("H", (2,)), 2), (GateOp("TOFFOLI", (3, 0, 1)), 1)])
+def test_blk_plan_error_names_the_failing_op_and_qubit(bad, qubit):
+    """The first op that leaves the Z-string group raises, with its first
+    qubit whose generator fails (a TOFFOLI's target)."""
+    ops = (GateOp("CNOT", (0, 1)), GateOp("RZ", (2,), 0.3), bad, GateOp("H", (0,)), bad)
+    c = Circuit(4, ops).with_noise(P01)
+    with pytest.raises(NotZClosed) as exc:
+        mitigation_plan(c, "blk")
+    assert exc.value.gate is c.ops[2]
+    assert exc.value.zstring == PauliZString.single(4, qubit)
+    assert str(exc.value) == f"conjugation of {PauliZString.single(4, qubit)} through {bad} is not a Z-string"

@@ -194,3 +194,12 @@ def test_parser_raises_only_parse_errors(text):
         return
     back = parse_circuit(serialize_circuit(c))
     assert back == c and _angle_bits(back) == _angle_bits(c)
+
+
+@pytest.mark.parametrize("tag", ["x", 0.1, {"kind": "uncorrelated", "p": 0.1}])
+def test_circuit_refuses_noise_tags_that_are_not_specs(tag):
+    ops = (GateOp("X", (0,)), GateOp("Z", (1,)))
+    with pytest.raises(InvalidArgument, match="noise tag must be None or a NoiseSpec"):
+        Circuit(2, ops, (None, tag))
+    with pytest.raises(InvalidArgument, match="noise tag must be None or a NoiseSpec"):
+        Circuit(2, ops).with_noise(tag)

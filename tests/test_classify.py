@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles import all_strings_z_compatible
 
 from blockpec.circuits import Circuit
 from blockpec.classify import (
@@ -12,7 +13,7 @@ from blockpec.classify import (
     pauli_z_compatible,
 )
 from blockpec.errors import UnsupportedGate
-from blockpec.gates import GateOp
+from blockpec.gates import GATE_KINDS, GateOp
 
 
 def _op(kind, qubits, angle=None):
@@ -111,3 +112,13 @@ def test_maximal_segments():
     assert maximal_segments([True, True, True]) == ((0, 3),)
     assert maximal_segments([True, False, True]) == ((0, 1), (2, 3))
     assert maximal_segments([False, True, True, False, True]) == ((1, 3), (4, 5))
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+def test_pauli_z_compatible_equals_the_all_strings_oracle(kind):
+    arity, takes_angle = GATE_KINDS[kind]
+    angles = [0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2.0 * np.pi, 0.37, 4.1] if takes_angle else [None]
+    for angle in angles:
+        for qubits in (tuple(range(arity)), tuple(range(arity, 0, -1))):
+            g = GateOp(kind, qubits, angle)
+            assert pauli_z_compatible(g) == all_strings_z_compatible(g), g

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from conftest import EXACT_KINDS
 
+from blockpec import conjugation
 from blockpec.conjugation import (
     PASS_THROUGH_KINDS,
     conjugate_z_string,
     generator_images,
+    local_images,
     numeric_conjugate_local,
 )
-from blockpec.errors import NotZClosed
+from blockpec.errors import InvalidArgument, NotZClosed
 from blockpec.gates import GATE_KINDS, GateOp, local_z_diag, unitary_of
 from blockpec.pauli import PauliZString
 
@@ -146,3 +148,50 @@ def test_generator_images_are_xor_linear():
             assert set(images) == set(qubits)
             combined = conjugate_z_string(g, PauliZString.from_qubits(n, qubits))
             assert combined.mask == images[qubits[0]] ^ images[qubits[1]]
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_KINDS))
+def test_local_images_equal_the_reference_route(kind):
+    """local_images agrees with generator_images on every generator, and is
+    None exactly where the reference route raises NotZClosed."""
+    arity, takes_angle = GATE_KINDS[kind]
+    rng = np.random.default_rng(31)
+    special = [0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2.0 * np.pi]
+    angles = special + list(rng.uniform(0.0, 2.0 * np.pi, 6)) if takes_angle else [None]
+    n = arity + 2
+    for angle in angles:
+        qubits = tuple(int(q) for q in rng.permutation(n)[:arity])
+        g = GateOp(kind, qubits, angle)
+        images = local_images(g)
+        assert len(images) == arity
+        for a, q in enumerate(qubits):
+            try:
+                want = conjugate_z_string(g, PauliZString.single(n, q)).mask
+            except NotZClosed:
+                assert images[a] is None, (g, q)
+                continue
+            got = sum(1 << qb for b, qb in enumerate(qubits) if images[a] >> b & 1)
+            assert got == want, (g, q)
+        if None not in images:
+            imgs = generator_images(g, n)
+            assert [imgs[q] for q in qubits] == [
+                sum(1 << qb for b, qb in enumerate(qubits) if m >> b & 1) for m in images
+            ]
+        else:
+            with pytest.raises(NotZClosed):
+                generator_images(g, n)
+
+
+def test_local_images_build_one_unitary_per_gate(monkeypatch):
+    calls = []
+    monkeypatch.setattr(conjugation, "unitary_of", lambda g: calls.append(g) or unitary_of(g))
+    g = GateOp("TOFFOLI", (2, 0, 1))
+    assert local_images(g) == (0b001, 0b010, None)
+    assert calls == [g]
+    calls.clear()
+    assert local_images(GateOp("RBS", (0, 1), 0.4)) == (0b01, 0b10) and calls == []
+
+
+def test_generator_images_refuse_a_qubit_outside_n():
+    with pytest.raises(InvalidArgument):
+        generator_images(GateOp("CNOT", (0, 3)), 3)

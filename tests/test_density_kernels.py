@@ -341,6 +341,29 @@ def test_widened_factor_is_bytewise_the_coherence_table(n, slack):
                 assert owned.tobytes() == got.tobytes(), (support, looped)
 
 
+@pytest.mark.parametrize("slack", [None, 0])
+@pytest.mark.parametrize("n", (3, 5, 8))
+def test_padded_mixture_equals_the_mixture_on_its_used_qubits(n, slack):
+    """Support qubits that no nonzero coefficient flips change nothing, bit
+    for bit: the eigenvalues do not depend on them. Slack 0 loops over the
+    rows of some support qubits."""
+    slack = kernels._FACTOR_SLACK if slack is None else slack
+    rng = np.random.default_rng(70 + n)
+    rho = _densities(rng, n)[0]
+    for _ in range(6):
+        m = int(rng.integers(2, min(n, 5) + 1))
+        support = tuple(int(q) for q in rng.permutation(n)[:m])
+        used = [a for a in range(m) if rng.random() < 0.5] or [0]
+        small = ZMixtureChannel(tuple(support[a] for a in used), rng.normal(size=1 << len(used)))
+        coeffs = np.zeros(1 << m)
+        for i, c in enumerate(small.coeffs):
+            coeffs[sum(1 << a for j, a in enumerate(used) if i >> j & 1)] = c
+        padded = ZMixtureChannel(support, coeffs)
+        with mock.patch.object(kernels, "_FACTOR_SLACK", slack):
+            got = apply_z_mixture_density(rho, padded, n)
+            assert got.tobytes() == apply_z_mixture_density(rho, small, n).tobytes(), (support, used)
+
+
 def test_full_support_factor_loops_instead_of_a_4n_table():
     n = 6
     mix = make_dephasing(NoiseSpec("uncorrelated", 0.1), tuple(range(n)))

@@ -180,3 +180,16 @@ def test_gateop_normalization():
     r = GateOp("rz", (2,), np.float64(0.25))
     assert isinstance(r.angle, float)
     assert str(r) == "RZ 2;theta=0.25"
+
+
+@pytest.mark.parametrize(
+    "qubits", [(True, 2), (0.0, 1), (0, 2.9), ("0", "1"), (None, 1), (np.bool_(False), 1)]
+)
+def test_gate_refuses_non_integer_qubit_indices(qubits):
+    with pytest.raises(InvalidArgument, match="qubit index must be an integer"):
+        GateOp("CNOT", qubits)
+
+
+def test_gate_takes_numpy_integer_qubits_as_int():
+    g = GateOp("CNOT", (np.int64(0), np.uint8(2)))
+    assert g == GateOp("CNOT", (0, 2)) and all(type(q) is int for q in g.qubits)

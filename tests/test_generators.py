@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -319,3 +320,32 @@ def test_loader_degenerate_inputs():
     with pytest.raises(InvalidArgument):
         gen_unary_loader(np.ones((2, 2)))
     assert gen_unary_loader([1e-3, 1e-3]).meta["family"] == "unary_loader"
+
+
+@pytest.mark.parametrize("x", [[1.0, math.inf], [1.0, math.nan], [-math.inf, 0.5, 0.5]])
+def test_loader_refuses_non_finite_entries(x):
+    # Refused before normalizing, so no RuntimeWarning comes first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgument, match="loader entries must be finite"):
+            gen_unary_loader(x)
+
+
+@pytest.mark.parametrize("x", [["a", 1.0], [1j, 1.0], [[1.0, 2.0], [3.0]]])
+def test_loader_refuses_entries_that_are_not_real(x):
+    with pytest.raises(InvalidArgument, match="loader needs a real vector"):
+        gen_unary_loader(x)
+
+
+@pytest.mark.parametrize("angles", [["a", 1, 2], [None, 1, 2], 5])
+def test_angle_lists_that_are_not_real_numbers_are_refused(angles):
+    with pytest.raises(InvalidArgument, match="rbs_pyramid angles must be real numbers"):
+        gen_rbs_pyramid(3, angles=angles)
+    with pytest.raises(InvalidArgument, match="option_payoff angles must be real numbers"):
+        gen_option_payoff(2, angles=angles)
+
+
+@pytest.mark.parametrize("depth_factor", ["1", None, True, [1.0]])
+def test_swap_network_refuses_a_depth_factor_that_is_not_a_number(depth_factor):
+    with pytest.raises(InvalidArgument, match="depth_factor must be a finite positive number"):
+        gen_swap_network(3, depth_factor, "rzz", 0)

@@ -491,3 +491,11 @@ def test_estimator_report_serialization():
     assert json.loads(report.to_json()) == doc
     assert doc["mode"] == "hybrid"
     assert doc["n_samples"] == 64
+
+
+@pytest.mark.parametrize("qubit", [True, 1.0, "1", 3, -1])
+def test_observable_index_checks_keep_their_message(qubit):
+    with pytest.raises(InvalidArgument, match=r"qubit must be an integer in \[0, 3\), got"):
+        Observable.z(3, qubit)
+    with pytest.raises(InvalidArgument, match=r"qubit must be an integer in \[0, 3\), got"):
+        Observable.qubit_one_projector(3, qubit)
