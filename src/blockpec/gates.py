@@ -46,6 +46,12 @@ def is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number (an int, a float, a numpy integer or
+    float); a bool or a string is not."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def integer(value, what: str) -> int:
     """``value`` as an int. Anything that is not an integer raises
     InvalidArgument instead of being truncated."""
@@ -80,10 +86,11 @@ class GateOp:
         if takes_angle:
             if self.angle is None:
                 raise UnsupportedGate(f"{kind} requires an angle")
-            try:
-                angle = float(self.angle)
-            except (TypeError, ValueError) as exc:
-                raise InvalidArgument(f"{kind} angle must be a real number, got {self.angle!r}") from exc
+            angle = self.angle
+            if type(angle) is not float:
+                if not is_real(angle):
+                    raise InvalidArgument(f"{kind} angle must be a real number, got {angle!r}")
+                angle = float(angle)
             if not math.isfinite(angle):
                 raise InvalidArgument(f"{kind} angle must be finite, got {angle}")
             object.__setattr__(self, "angle", angle)

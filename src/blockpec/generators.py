@@ -14,7 +14,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .errors import DegenerateVector, InvalidArgument
-from .gates import GateOp, expand_composite, integer
+from .gates import GateOp, expand_composite, integer, is_real
 
 PRNG_NAME = "philox4x64-v1"
 
@@ -46,9 +46,13 @@ def rbs_sequence(j: int, k: int, theta: float) -> list[GateOp]:
 
 def _angles(angles, count: int, family: str, n: int) -> list[float]:
     try:
-        angles = [float(a) for a in angles]
-    except (TypeError, ValueError) as exc:
+        angles = list(angles)
+    except TypeError as exc:
         raise InvalidArgument(f"{family} angles must be real numbers: {exc}") from None
+    for a in angles:
+        if not is_real(a):
+            raise InvalidArgument(f"{family} angles must be real numbers, got {a!r}")
+    angles = [float(a) for a in angles]
     if len(angles) != count:
         raise InvalidArgument(f"{family} n={n} needs {count} angles, got {len(angles)}")
     return angles

@@ -2,25 +2,28 @@
 
 A step is a pair ``(kernel, args)``, applied by ``run(state, step, owned)`` as
 ``kernel(state, *args, owned)``; the state is a 2^n vector or a 2^n x 2^n
-density matrix (qubit q is index bit n-1-q). There is one kernel per kind of
-step:
+density matrix (qubit q is index bit n-1-q), or a stack of them along a
+leading axis. Whether a step acts on density matrices is fixed when it is
+compiled; the state's shape tells only how many states are stacked. There is
+one kernel per kind of step:
 
 - ``gather``: a gate whose matrix has one nonzero entry per row, each in
   {+-1, +-i} (X, Z, S, CZ, CNOT, SWAP, TOFFOLI, the Paulis), moves every
   entry from its source index, then multiplies by a local phase tensor; a
   diagonal one (Z, S, CZ, a drawn Z-string) moves nothing and only
-  multiplies. On a density matrix whose trailing index bits after the gate's
-  qubits run long, the move copies the K^2 slice blocks of the (2,)*2n view
-  instead of indexing every entry;
+  multiplies. A phase with a leading stack axis gives each stacked state its
+  own phase (one drawn Z-string per state). On a density matrix whose
+  trailing index bits after the gate's qubits run long, the move copies the
+  K^2 slice blocks of the (2,)*2n view instead of indexing every entry;
 - ``broadcast``: a Z-mixture multiplies each coherence rho_{xy} by its
   Walsh-Hadamard eigenvalue at the support pattern of x xor y, a local factor
   on the support's row and column axes of the (2,)*2n view; when the support
   reaches the last qubits, the factor is materialized over their column axes
   so that the multiply runs over contiguous stretches of the state;
 - ``dense``: every other gate on ascending adjacent qubits q0..q0+k-1 is a
-  ``np.matmul`` of the 2^k x 2^k matrix with the state's (2^q0, 2^k, rest)
-  view (then of its conjugate with the columns' view); a gate on any other
-  qubit tuple is contracted with ``np.tensordot``;
+  ``np.matmul`` of the 2^k x 2^k matrix with the state's (G 2^q0, 2^k, rest)
+  view, G the stack size (then of its conjugate with the columns' view); a
+  gate on any other qubit tuple is contracted with ``np.tensordot``;
 - ``pauli_channel``: impure noise sums its weighted single-qubit Pauli
   conjugations, one qubit at a time, each Pauli a gather step.
 
@@ -38,9 +41,12 @@ of exact zeros. A dense step hands zgemm the operands of tensordot in the same
 roles (the gate on the left, the state on the right), either as one product or
 as a batch of (2^k, c >= 4) products, which round alike, so it equals
 tensordot bit for bit; tests/test_density_kernels.py checks every position
-(numpy 2.4.6, OpenBLAS 0.3.31). Elementwise phase multiplies round differently
-from zgemm, so gates with other phases (T, RZ, RZZ, ...) stay dense. Moves,
-in place or into a buffer, are exact copies.
+(numpy 2.4.6, OpenBLAS 0.3.31). A stack only adds columns to those products,
+so each stacked state comes out as it would alone as long as every product
+has a multiple of 4 columns, as on a density matrix with n >= 2; with fewer,
+zgemm rounds the leftover columns differently. Elementwise phase multiplies
+round differently from zgemm, so gates with other phases (T, RZ, RZZ, ...)
+stay dense. Moves, in place or into a buffer, are exact copies.
 """
 
 from __future__ import annotations
@@ -115,7 +121,7 @@ def run(state: np.ndarray, step, owned: bool = False) -> np.ndarray:
 # ---- kernels
 
 
-def gather(state: np.ndarray, src, phase: np.ndarray | None, owned: bool = False) -> np.ndarray:
+def gather(state: np.ndarray, src, phase: np.ndarray | None, density: bool, owned: bool = False) -> np.ndarray:
     """Entry x comes from ``src[x]`` and takes the phase ``phase[x]``; on a
     density matrix, entry (x, y) comes from (src[x], src[y]) and takes
     phase[x] * conj(phase[y]). ``src`` None is the identity permutation (Z, S,
@@ -123,25 +129,30 @@ def gather(state: np.ndarray, src, phase: np.ndarray | None, owned: bool = False
     itself. On a density matrix, ``src`` may instead be a tuple of (target,
     source) index pairs over the (2,)*2n view, one per slice block that the
     permutation moves whole."""
-    density = state.ndim == 2
-    rows = phase[:, None] if density and phase is not None else phase
+    rows = phase[..., None] if density and phase is not None else phase
     if src is None:
         if phase is None:
             return state if owned else state.copy()
         out = np.multiply(state, rows, out=state) if owned else state * rows
     else:
         if isinstance(src, np.ndarray):
-            out = state[src[:, None], src] if density else state[src]
+            if not density:
+                out = state.take(src, axis=-1)
+            elif state.ndim == 2:
+                out = state[src[:, None], src]
+            else:  # a stack, taken through the flat index so the copy is contiguous
+                flat = (src[:, None] * len(src) + src).ravel()
+                out = state.reshape(len(state), -1).take(flat, axis=1).reshape(state.shape)
         else:
             out = np.empty_like(state)
-            shape = (2,) * len(src[0][0])
+            shape = state.shape[:-2] + (2,) * len(src[0][0])
             tensor, blocks = state.reshape(shape), out.reshape(shape)
             for target, source in src:
-                blocks[target] = tensor[source]
+                blocks[(..., *target)] = tensor[(..., *source)]
         if phase is not None:
             out *= rows
     if density and phase is not None:
-        out *= phase.conj()
+        out *= phase.conj()[..., None, :]
     return out
 
 
@@ -177,21 +188,24 @@ def _left(u: np.ndarray, x: np.ndarray, a: int, c: int, spare: np.ndarray | None
 
 
 def dense(state: np.ndarray, u: np.ndarray, u_conj, qubits: list, n: int, owned: bool = False) -> np.ndarray:
-    """``u`` on the rows, and on a density matrix ``u_conj`` on the columns.
-    A gate on ascending adjacent qubits q0..q0+k-1 multiplies the state's
-    (2^q0, 2^k, rest) view; a large owned state shares that work with one
-    more buffer. Any other qubit tuple is contracted with ``np.tensordot``."""
+    """``u`` on the rows, and on a density matrix (``u_conj`` given) its
+    conjugate on the columns. A gate on ascending adjacent qubits
+    q0..q0+k-1 multiplies the state's (G 2^q0, 2^k, rest) view, G states
+    stacked; a large owned state shares that work with one more buffer. Any
+    other qubit tuple is contracted with ``np.tensordot``."""
     k, q0 = len(qubits), qubits[0]
-    density = state.ndim == 2
+    nd = 1 if u_conj is None else 2
+    stack = state.size >> (nd * n)
     if qubits == list(range(q0, q0 + k)):
         c = 1 << (n - q0 - k)
         spare = np.empty_like(state) if owned and state.size >= _REUSE_SIZE else None
-        out, spare = _left(u, state, 1 << q0, c << n if density else c, spare)
-        if density:
-            out, _ = _left(u_conj, out, 1 << (n + q0), c, spare)
+        out, spare = _left(u, state, stack << q0, c << n if nd == 2 else c, spare)
+        if nd == 2:
+            out, _ = _left(u_conj, out, stack << (n + q0), c, spare)
         return out.reshape(state.shape)
-    tensor = state.reshape((2,) * (state.ndim * n))
-    for m, axes in ((u, qubits), (u_conj, [n + q for q in qubits]))[: state.ndim]:
+    tensor = state.reshape((stack,) + (2,) * (nd * n))
+    for m, axes in ((u, qubits), (u_conj, [n + q for q in qubits]))[:nd]:
+        axes = [1 + a for a in axes]
         moved = np.tensordot(m.reshape((2,) * (2 * k)), tensor, axes=(list(range(k, 2 * k)), axes))
         tensor = np.moveaxis(moved, range(k), axes)
     return tensor.reshape(state.shape)
@@ -202,16 +216,16 @@ def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple, owned: bool 
     rows where every ``looped`` qubit reads 0; where such a qubit reads 1, the
     eigenvalue pattern is XOR-shifted on that qubit, which is the factor with
     the qubit's column axis reversed."""
-    tensor = state.reshape((2,) * factor.ndim)
+    tensor = state.reshape(state.shape[:-2] + (2,) * factor.ndim)
     if not looped:
         return (np.multiply(tensor, factor, out=tensor) if owned else tensor * factor).reshape(state.shape)
     n = factor.ndim // 2
     out = tensor if owned else np.empty(tensor.shape, np.result_type(tensor, factor))
     for bits in itertools.product((0, 1), repeat=len(looped)):
-        index = [slice(None)] * tensor.ndim
+        index = [Ellipsis] + [slice(None)] * factor.ndim
         f = factor
         for q, b in zip(looped, bits):
-            index[q] = slice(b, b + 1)
+            index[1 + q] = slice(b, b + 1)
             if b:
                 f = np.flip(f, n + q)
         np.multiply(tensor[tuple(index)], f, out=out[tuple(index)])
@@ -268,9 +282,9 @@ def unitary_step(u: np.ndarray, qubits, n: int, density: bool):
         local.reshape(-1, 2, 1 << (n - 1 - q))[:, 1, :] += 1 << (k - 1 - a)
     phase = np.array(phases)[local] if any(p != 1 for p in phases) else None
     if not any(flips):
-        return gather, (None, phase)
+        return gather, (None, phase, density)
     if not density or 1 << (n - 1 - max(qubits)) < _SLICE_RUN or 1 << (2 * (n - k)) < _SLICE_BLOCK:
-        return gather, (np.arange(1 << n) ^ np.array(flips)[local], phase)
+        return gather, (np.arange(1 << n) ^ np.array(flips)[local], phase, density)
 
     def block(row: int, col: int) -> tuple:
         """The slice block of the (2,)*2n view at local row ``row`` and local
@@ -282,7 +296,7 @@ def unitary_step(u: np.ndarray, qubits, n: int, density: bool):
         return tuple(index)
 
     pairs = itertools.product(range(1 << k), repeat=2)
-    return gather, (tuple((block(r, c), block(cols[r], cols[c])) for r, c in pairs), phase)
+    return gather, (tuple((block(r, c), block(cols[r], cols[c])) for r, c in pairs), phase, True)
 
 
 def mixture_step(mix: ZMixtureChannel, n: int):
@@ -301,10 +315,10 @@ def mixture_step(mix: ZMixtureChannel, n: int):
     return broadcast, (factor, support[r - j:])
 
 
-def sign_step(mask: int, n: int):
+def sign_step(mask: int, n: int, density: bool):
     """The Z-string ``mask`` (bit q for qubit q): a diagonal gather whose
     phase is its 2^n sign vector."""
-    return gather, (None, z_sign_vector(mask, n))
+    return gather, (None, z_sign_vector(mask, n), density)
 
 
 def noise_step(tag, qubits, n: int):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .gates import integer, is_integer, unitary_of
 from .kernels import (
+    gather,
     mixture_step,
     noise_step,
     run,
@@ -60,7 +62,7 @@ def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np
 
 
 def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
-    return run(rho, sign_step(mask, n))
+    return run(rho, sign_step(mask, n, True))
 
 
 # Byte budgets of the per-call compiled steps and of the prefix states the
@@ -199,9 +201,14 @@ class Observable:
             m = m / norm
         return cls("dense_hermitian", n, m)
 
+    @cached_property
+    def _z_signs(self) -> np.ndarray:
+        """The Z-string's sign vector over the basis states, built once."""
+        return z_sign_vector(self.payload.mask, self.n)
+
     def expectation_state(self, psi: np.ndarray) -> float:
         if self.kind == "pauli_z_string":
-            return float((np.abs(psi) ** 2 @ z_sign_vector(self.payload.mask, self.n)))
+            return float((np.abs(psi) ** 2 @ self._z_signs))
         if self.kind == "diagonal_projector":
             return float((np.abs(psi) ** 2)[self.payload].sum())
         return float(np.vdot(psi, self.payload @ psi).real)
@@ -209,7 +216,7 @@ class Observable:
     def expectation_density(self, rho: np.ndarray) -> float:
         diag = np.diagonal(rho).real
         if self.kind == "pauli_z_string":
-            return float(diag @ z_sign_vector(self.payload.mask, self.n))
+            return float(diag @ self._z_signs)
         if self.kind == "diagonal_projector":
             return float(diag[self.payload].sum())
         return float(np.trace(self.payload @ rho).real)
@@ -329,16 +336,39 @@ def _estimator_rng(seed: int) -> np.random.Generator:
 
 
 def _unique_rows(comb: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Distinct rows of ``comb`` restricted to its nonzero columns, in byte
-    order (rows sharing a prefix of columns are adjacent), the row index of
-    every sample, and the kept op columns."""
+    """Distinct rows of ``comb`` restricted to its nonzero columns, in
+    lexicographic column order (rows sharing a prefix of columns are
+    adjacent), the row index of every sample, and the kept op columns.
+
+    Each row is packed big-endian into int64 keys of 63 // n columns (the
+    first column in the high bits), so sorting the keys orders the rows."""
     cols = np.flatnonzero(comb.any(axis=0)).tolist()
-    keys = comb[:, cols].astype(np.uint8 if n <= 8 else np.uint16, order="C")
     if not cols:
-        return keys[:1], np.zeros(len(keys), dtype=np.intp), cols
-    rows = keys.view(np.dtype((np.void, keys.itemsize * len(cols)))).ravel()
-    uniq, inverse = np.unique(rows, return_inverse=True)
-    return uniq.view(keys.dtype).reshape(len(uniq), len(cols)), inverse, cols
+        return comb[:1, cols], np.zeros(len(comb), dtype=np.intp), cols
+    per = 63 // n
+    keys = []
+    for w in range(0, len(cols), per):
+        key = comb[:, cols[w]].copy()
+        for i in cols[w + 1 : w + per]:
+            key <<= n
+            key |= comb[:, i]
+        keys.append(key)
+    order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
+    new = np.zeros(len(order), dtype=bool)
+    new[0] = True
+    for key in keys:
+        ranked = key[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return comb[order[new]][:, cols], inverse, cols
+
+
+# Byte budget of a row group: the stacked density matrices that the walk
+# evolves as one array. Statevector rows, and the rows of a one-qubit density
+# matrix, are walked one at a time: their dense steps' products can have
+# fewer than 4 columns, which zgemm rounds differently once stacked.
+_GROUP_BYTES = 1 << 19
 
 
 def _trajectory_outcomes(
@@ -349,12 +379,18 @@ def _trajectory_outcomes(
     density path; the statevector path has no channels, its rows already
     carry the drawn noise strings).
 
-    The distinct rows are walked in byte order. Row r restarts from the state
-    stored at its first column that differs from row r-1, so shared prefixes
-    are evolved once. A state is stored only at depths where a later row
-    branches off: the chain of running minima of the later rows' common-prefix
-    lengths. Each op's step is the same compiled step on the same state as in
-    a from-scratch evolution, so every outcome is bitwise the same.
+    The distinct rows are walked in lexicographic order, in row groups:
+    consecutive rows whose stacked density matrices fit ``_GROUP_BYTES``
+    (single rows on the statevector path and at n = 1). A group restarts
+    from the deepest stored state that it shares with the row before it,
+    evolves its rows' shared prefix once, then evolves the rest level by
+    level as one stacked array: one state per distinct prefix, a branch an
+    index copy, the drawn strings one stacked multiply. States are stored
+    only where a later group restarts: the chain of running minima of the
+    later groups' restart depths, each at most that group's shared prefix.
+    Every state meets the same compiled steps as in a from-scratch
+    evolution, and every outcome is taken from its own row's state, so
+    every outcome is bitwise the same.
     """
     n = c.n
     uniq, inverse, cols = _unique_rows(comb, n)
@@ -367,40 +403,50 @@ def _trajectory_outcomes(
         initial = np.zeros(1 << n, dtype=complex)
         initial[0] = 1.0
         expect = obs.expectation_state
+
+    def signs(mask: int):
+        return program.step(("signs", mask), lambda: sign_step(mask, n, use_density))
+
     depth = len(cols)
-    # Ops [bounds[d], bounds[d+1]) lead to depth d: the state right before
-    # column d's mask. The last span runs to the end of the circuit.
+    # The state at depth d has met ops [0, bounds[d + 1]) and the masks of
+    # columns before d; depth ``depth`` is the end of the circuit.
     bounds = [0] + [i + 1 for i in cols] + [len(c.ops)]
     rows = uniq.tolist()
-    lcp = [0]
+    lcp = np.zeros(len(rows), dtype=np.intp)
     if len(rows) > 1:
-        lcp += np.argmax(uniq[1:] != uniq[:-1], axis=1).tolist()
-    # nxt[j]: the first later row with a shorter common prefix than row j.
-    nxt = [len(rows)] * len(rows)
+        lcp[1:] = np.argmax(uniq[1:] != uniq[:-1], axis=1)
+    size = max(1, _GROUP_BYTES // initial.nbytes) if use_density and n > 1 else 1
+    firsts = list(range(0, len(rows), size)) + [len(rows)]
+    # shared[g]: the columns that group g's rows share; start[g]: where it
+    # restarts, within both its shared prefix and the row before it.
+    shared = [int(lcp[a + 1 : b].min()) if b - a > 1 else depth for a, b in zip(firsts, firsts[1:])]
+    start = [0] + [min(int(lcp[a]), s) for a, s in zip(firsts[1:], shared[1:])]
+    # nxt[g]: the first later group with a shallower restart than group g.
+    nxt = [len(start)] * len(start)
     pending: list[int] = []
-    for j in range(len(rows) - 1, 0, -1):
-        while pending and lcp[pending[-1]] >= lcp[j]:
+    for g in range(len(start) - 1, 0, -1):
+        while pending and start[pending[-1]] >= start[g]:
             pending.pop()
         if pending:
-            nxt[j] = pending[-1]
-        pending.append(j)
+            nxt[g] = pending[-1]
+        pending.append(g)
 
-    # States on the stack are shared by later rows, so a row's steps may
+    # States on the stack are shared by later groups, so a group's steps may
     # overwrite only the states that it evolved itself and did not store.
-    stack = [(0, evolve(initial, 0, bounds[1], owned=True) if depth else initial)]
+    stack = [(0, evolve(initial, 0, bounds[1], owned=True))]
     held = 0
     out = np.empty(len(rows))
-    for r, row in enumerate(rows):
-        while stack[-1][0] > lcp[r]:
+    for g, (a, b) in enumerate(zip(firsts, firsts[1:])):
+        while stack[-1][0] > start[g]:
             held -= stack.pop()[1].nbytes
         top, state = stack[-1]
         owned = False
-        keep = []  # depths below which later rows branch, deepest first
-        j = r + 1
-        while j < len(rows) and lcp[j] > top:
-            keep.append(lcp[j])
+        keep = []  # depths where later groups restart, shallowest last
+        j = g + 1
+        while j < len(start) and start[j] > top:
+            keep.append(start[j])
             j = nxt[j]
-        for d in range(top, depth):
+        for d in range(top, shared[g] + 1):
             if d > top:
                 state, owned = evolve(state, bounds[d], bounds[d + 1], owned), True
                 if keep and keep[-1] == d:
@@ -409,11 +455,33 @@ def _trajectory_outcomes(
                         stack.append((d, state))
                         held += state.nbytes
                         owned = False
-            if row[d]:
-                mask = row[d]
-                step = program.step(("signs", mask), lambda: sign_step(mask, n))
-                state, owned = run(state, step, owned), True
-        out[r] = expect(evolve(state, bounds[depth], bounds[depth + 1], owned))
+            if d < shared[g] and rows[a][d]:
+                state, owned = run(state, signs(rows[a][d]), owned), True
+        if b - a == 1:
+            out[a] = expect(state)
+            continue
+        # States at depth d: one per distinct prefix of columns [0, d) in the
+        # group, headed by the rows that open it (lcp < d).
+        group, opens = uniq[a:b], lcp[a:b] < np.arange(depth + 1)[:, None]
+        opens[:, 0] = True
+        states = state[None]
+        for d in range(shared[g], depth):
+            heads = np.flatnonzero(opens[d + 1])
+            if len(heads) > len(states):
+                states = states[np.cumsum(opens[d])[heads] - 1]
+            hit = np.flatnonzero(group[heads, d])
+            if len(hit):
+                drawn, which = np.unique(group[heads[hit], d], return_inverse=True)
+                # Each drawn mask's compiled sign vector, one row per state.
+                phases = np.stack([signs(m)[1][1] for m in drawn.tolist()])[which]
+                step = (gather, (None, phases, use_density))
+                if len(hit) == len(states):
+                    states = run(states, step, True)
+                else:
+                    states[hit] = run(states[hit], step, True)
+            states = evolve(states, bounds[d + 1], bounds[d + 2], owned=True)
+        for r, final in enumerate(states):
+            out[a + r] = expect(final)
     return out[inverse]
 
 
@@ -444,15 +512,17 @@ def pec_estimate(
 
     Trajectories are evaluated once per distinct row of inserted strings.
     Dedup keeps only the ops where some sample drew a string, packs each row
-    into bytes (uint8 masks up to n = 8, uint16 above) and sorts the rows
-    bytewise, so rows sharing a prefix of inserted strings sit together. The
-    walk then restarts each row from the state stored where it first differs
-    from the row before, keeping states only at depths where a later row
-    branches off (at most 64 MiB of them; deeper restarts re-evolve). Steps
-    per gate (kind, angle, qubits), noise channel and drawn string are
-    compiled once per call and dropped on return. Every op is applied by the
-    same step as in a from-scratch evolution, so reports do not depend on the
-    walk.
+    into int64 keys (n bits per op, the first op highest) and sorts the keys,
+    so rows sharing a prefix of inserted strings sit together. The walk takes
+    the rows in groups whose stacked density matrices fit 512 KiB (single
+    rows on the statevector path and at n = 1): a group restarts from the
+    state stored where it first differs from the row before, evolves its
+    shared prefix once and the rest as one stacked array, branching by index
+    copies. States are kept only at depths where a later group restarts (at
+    most 64 MiB of them; deeper restarts re-evolve). Steps per gate (kind,
+    angle, qubits), noise channel and drawn string are compiled once per
+    call and dropped on return. Every op is applied by the same step as in a
+    from-scratch evolution, so reports do not depend on the walk.
     """
     _check_obs(c, obs)
     _check_count("n_samples", n_samples)
@@ -477,6 +547,7 @@ def pec_estimate(
             )
             comb[:, slot.after_op] ^= slot.gmasks[idx]
             signs *= slot.signs[idx]
+        del u, idx  # freed before the walk, whose row groups add their stacks
 
     if not use_density:
         # Statevector path: noise enters as sampled forward Z-strings.

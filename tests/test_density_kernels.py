@@ -117,8 +117,8 @@ def test_monomial_gates_take_the_gather_step():
     for label, pauli in kernels.PAULI_1Q.items():
         assert kernels.unitary_step(pauli, (0,), 1, True)[0] is kernels.gather, label
     for mask in range(8):
-        kernel, (src, phase) = kernels.sign_step(mask, 3)
-        assert kernel is kernels.gather and src is None and phase.shape == (8,), mask
+        kernel, (src, phase, density) = kernels.sign_step(mask, 3, True)
+        assert kernel is kernels.gather and src is None and phase.shape == (8,) and density, mask
 
 
 DENSE_OPS = (
@@ -244,8 +244,8 @@ def test_identity_permutation_gathers_skip_the_index(n):
     cases = [(unitary_of(op), op.qubits) for op in ops] + [(kernels.PAULI_1Q["I"], (n // 2,))]
     states, densities = _states(rng, n), _densities(rng, n)
     for u, qubits in cases:
-        kernel, (src, _) = kernels.unitary_step(u, qubits, n, True)
-        assert kernel is kernels.gather and src is None, qubits
+        kernel, args = kernels.unitary_step(u, qubits, n, True)
+        assert kernel is kernels.gather and args[0] is None, qubits
         for psi in states:
             got = apply_unitary_state(psi, u, qubits, n)
             assert got is not psi and np.array_equal(got, tensordot_unitary_state(psi, u, qubits, n))
@@ -254,7 +254,7 @@ def test_identity_permutation_gathers_skip_the_index(n):
         for rho in densities:
             got = apply_unitary_density(rho, u, qubits, n)
             assert got is not rho and np.array_equal(got, tensordot_unitary_density(rho, u, qubits, n))
-            assert np.array_equal(kernels.run(rho.copy(), (kernel, (src, _)), owned=True), got)
+            assert np.array_equal(kernels.run(rho.copy(), (kernel, args), owned=True), got)
 
 
 def test_real_inputs_keep_the_tensordot_dtype():
@@ -379,7 +379,7 @@ def test_signs_and_pauli_channel_equal_reference(n):
     forward, _ = make_impure(0.1, 0.7)
     for rho in _densities(rng, n):
         for mask in range(1 << n):
-            for got in _both(rho, kernels.sign_step(mask, n)):
+            for got in _both(rho, kernels.sign_step(mask, n, True)):
                 assert np.array_equal(got, rho * z_sign_matrix(mask, n))
             assert np.array_equal(apply_z_string_density(rho, mask, n), got)
         for q in range(n):
@@ -397,6 +397,61 @@ noise_tags = st.one_of(
     ),
     st.builds(NoiseSpec, st.just("impure"), st.floats(0.001, 0.3), st.floats(0.0, 3.0)),
 )
+
+
+def _stacked_steps(rng, n):
+    """Density steps of every kind: each gate (index, slice-block and
+    diagonal gathers, dense steps on both routes), dephasing and its inverse,
+    block mixtures (looped at slack 0), impure noise and drawn Z-strings."""
+    for op in _ops(rng, n):
+        yield kernels.unitary_step(unitary_of(op), op.qubits, n, True)
+    for support in ((0,), (n - 1,), (n - 1, 0), (n // 2, 0), tuple(range(n)), tuple(range(n))[::-1]):
+        for spec in (NoiseSpec("uncorrelated", 0.07), NoiseSpec("correlated", 0.11)):
+            mix = make_dephasing(spec, support)
+            yield kernels.mixture_step(mix, n)
+            yield kernels.mixture_step(invert_z_mixture(mix), n)
+    for mix in _block_mixtures(n, rng):
+        yield kernels.mixture_step(mix, n)
+    yield kernels.noise_step(NoiseSpec("impure", 0.1, 0.7), tuple(range(min(n, 2))), n)
+    for mask in range(0, 1 << n, max(1, (1 << n) // 5)):
+        yield kernels.sign_step(mask, n, True)
+
+
+@pytest.mark.parametrize("slack", [None, 0])
+@pytest.mark.parametrize("n", (2, 3, 5, 7))
+def test_stacked_steps_equal_each_state_alone(n, slack):
+    """A stack of density matrices along a leading axis meets every step as
+    each of its states would alone, bit for bit, owned or not. At n >= 2
+    every dense product has a multiple of 4 columns, which zgemm rounds the
+    same however many states add columns."""
+    slack = kernels._FACTOR_SLACK if slack is None else slack
+    rng = np.random.default_rng(500 + n)
+    stack = np.stack(_densities(rng, n))
+    with mock.patch.object(kernels, "_FACTOR_SLACK", slack):
+        steps = list(_stacked_steps(rng, n))
+    for step in steps:
+        alone = np.stack([kernels.run(rho, step) for rho in stack])
+        for got in _both(stack, step):
+            assert got.shape == stack.shape and got.flags.c_contiguous
+            assert got.tobytes() == alone.tobytes(), step[0].__name__
+    # One drawn Z-string per stacked state: a phase with a stack axis.
+    phases = np.stack([kernels.z_sign_vector(int(m), n) for m in rng.integers(0, 1 << n, len(stack))])
+    alone = np.stack([kernels.run(rho, (kernels.gather, (None, p, True))) for rho, p in zip(stack, phases)])
+    for got in _both(stack, (kernels.gather, (None, phases, True))):
+        assert got.tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("n", (5, 7))
+def test_stacked_statevectors_equal_each_state_alone(n):
+    # From n = 5 on, a gate of up to 3 qubits leaves products of at least 4
+    # columns on a statevector too.
+    rng = np.random.default_rng(600 + n)
+    stack = np.stack(_states(rng, n))
+    for op in _ops(rng, n):
+        step = kernels.unitary_step(unitary_of(op), op.qubits, n, False)
+        alone = np.stack([kernels.run(psi, step) for psi in stack])
+        for got in _both(stack, step):
+            assert got.flags.c_contiguous and got.tobytes() == alone.tobytes(), op
 
 
 @st.composite

@@ -1,7 +1,8 @@
 """Differential test: the estimator's prefix-shared trajectory walk against
 the per-trajectory route in oracles.py, bit for bit, on random small
 circuits and random mask rows, on both the density and the statevector
-evolution, and with the walk's table and state budgets squeezed to zero."""
+evolution, with the walk's table and state budgets squeezed to zero and its
+row groups of one row, of a few rows, or of the default size."""
 
 from __future__ import annotations
 
@@ -14,10 +15,17 @@ from hypothesis import strategies as st
 from oracles import reference_pec_outcomes
 
 from blockpec import kernels, simulate
-from blockpec.circuits import Circuit
+from blockpec.blocks import gamma_std
+from blockpec.circuits import Circuit, parse_circuit
 from blockpec.gates import GATE_KINDS, GateOp
 from blockpec.noise import NoiseSpec
-from blockpec.simulate import Observable, _trajectory_outcomes
+from blockpec.simulate import (
+    Observable,
+    _trajectory_outcomes,
+    _unique_rows,
+    pec_estimate,
+    required_samples,
+)
 
 noise_tags = st.one_of(
     st.none(),
@@ -64,17 +72,21 @@ def walk_cases(draw, max_n=4, max_depth=8, max_samples=40):
     budgets = draw(
         st.sampled_from(((None, None), (0, 0), (0, None), (None, 0), (1 << 12, 1 << 12)))
     )
-    return c, obs, comb, use_density, budgets
+    # Group bytes: groups of one row; of 12, 3 or 1 rows at n = 2, 3, 4 (many
+    # groups, restarting within their own shared prefix); the default.
+    group_bytes = draw(st.sampled_from((0, 3 << 10, None)))
+    return c, obs, comb, use_density, budgets + (group_bytes,)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(walk_cases())
 def test_walk_matches_per_trajectory_oracle(case):
-    c, obs, comb, use_density, (table_bytes, state_bytes) = case
+    c, obs, comb, use_density, (table_bytes, state_bytes, group_bytes) = case
     with mock.patch.multiple(
         simulate,
         _TABLE_BYTES=simulate._TABLE_BYTES if table_bytes is None else table_bytes,
         _STATE_BYTES=simulate._STATE_BYTES if state_bytes is None else state_bytes,
+        _GROUP_BYTES=simulate._GROUP_BYTES if group_bytes is None else group_bytes,
     ):
         got = _trajectory_outcomes(c, obs, comb.copy(), use_density)
     want = reference_pec_outcomes(c, obs, comb, use_density)
@@ -94,3 +106,81 @@ def test_blk_rows_share_everything_but_the_last_op():
         got = _trajectory_outcomes(c, obs, comb, True)
     assert spy.call_count == len(ops)
     assert got.tobytes() == reference_pec_outcomes(c, obs, comb, True).tobytes()
+
+
+def test_groups_restart_within_their_own_shared_prefix():
+    # Groups of two rows (256-byte states, 512-byte budget). Rows 2 and 4
+    # share five kept columns (op 4 draws nothing) with the row before them
+    # but only two and three with the other row of their own group;
+    # restarting from the previous group's path at such a depth would carry
+    # that row's masks into the other.
+    rows = [
+        [2, 0, 0, 0, 0, 0, 1],
+        [2, 0, 0, 0, 0, 1, 0],
+        [2, 0, 0, 0, 0, 1, 1],
+        [2, 0, 1, 0, 0, 0, 0],
+        [2, 0, 1, 0, 0, 0, 1],
+        [2, 0, 1, 1, 0, 0, 0],
+        [2, 3, 0, 0, 0, 0, 0],
+    ]
+    kinds = ("H", "RZ", "CNOT", "RZZ", "H", "T", "RZ")
+    ops = tuple(
+        GateOp(kind, (i % 2,) if kind in ("H", "RZ", "T") else (0, 1), 0.3 + i if kind in ("RZ", "RZZ") else None)
+        for i, kind in enumerate(kinds)
+    )
+    c = Circuit(2, ops).with_noise(NoiseSpec("uncorrelated", 0.05))
+    comb = np.array(rows * 3, dtype=np.int64)
+    uniq, _, _ = _unique_rows(comb, c.n)
+    lcp = np.argmax(uniq[1:] != uniq[:-1], axis=1)  # lcp[r - 1]: rows r - 1 and r
+    assert lcp[1] > lcp[2] and lcp[3] > lcp[4]  # deeper than their group's share
+    obs = Observable.z(2, 1)
+    want = reference_pec_outcomes(c, obs, comb, True)
+    for group_bytes in (0, 512, 1024, simulate._GROUP_BYTES):
+        for state_bytes in (0, simulate._STATE_BYTES):
+            with mock.patch.multiple(simulate, _GROUP_BYTES=group_bytes, _STATE_BYTES=state_bytes):
+                got = _trajectory_outcomes(c, obs, comb, True)
+            assert got.tobytes() == want.tobytes(), (group_bytes, state_bytes)
+
+
+def test_one_qubit_rows_match_the_oracle():
+    # A 2x2 density matrix gives dense products of 2 columns, which zgemm
+    # would round differently stacked; its rows are walked one at a time.
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        kinds = rng.choice(["H", "RZ", "T", "X"], 6)
+        ops = tuple(GateOp(k, (0,), float(rng.uniform(0, 6)) if k == "RZ" else None) for k in kinds)
+        c = Circuit(1, ops).with_noise(NoiseSpec("uncorrelated", 0.1))
+        comb = rng.integers(0, 2, size=(60, 6))
+        obs = Observable.z(1, 0)
+        want = reference_pec_outcomes(c, obs, comb, True)
+        assert _trajectory_outcomes(c, obs, comb, True).tobytes() == want.tobytes()
+
+
+CRITERION_06 = "qubits=3\nH 0\nRZ 0;theta=0.7\nH 0\nCNOT 0,1\nH 1\nRZ 1;theta=0.4\nH 1\nCNOT 1,2\n"
+
+
+def test_criterion_06_rows_evolve_as_one_stack():
+    # Its few hundred distinct rows of 1 KiB density matrices fit one group:
+    # past the shared start, every op runs once on the stack of all of them.
+    c = parse_circuit(CRITERION_06).with_noise(NoiseSpec("uncorrelated", 0.1))
+    samples = required_samples(gamma_std(c), 0.05, 0.05)
+    with mock.patch.object(kernels, "dense", wraps=kernels.dense) as spy:
+        pec_estimate(c, Observable.z(3, 0), "std", samples, 1)
+    assert spy.call_count == sum(op.kind in ("H", "RZ") for op in c.ops) == 6
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(1, 14), st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_packed_dedup_matches_numpy_unique(n, ops, samples, seed):
+    # Distinct rows in lexicographic order, sample to row index, kept
+    # columns; up to 63 // n columns per key, so wide rows span several keys.
+    rng = np.random.default_rng(seed)
+    comb = rng.integers(0, 1 << n, size=(samples, ops)) * (rng.random((samples, ops)) < 0.4)
+    comb[:, rng.random(ops) < 0.3] = 0
+    uniq, inverse, cols = _unique_rows(comb, n)
+    assert cols == np.flatnonzero(comb.any(axis=0)).tolist()
+    want, want_inverse = np.unique(comb[:, cols], axis=0, return_inverse=True)
+    if not cols:
+        assert uniq.shape == (1, 0) and not inverse.any()
+        return
+    assert np.array_equal(uniq, want) and np.array_equal(inverse, want_inverse.reshape(-1))

@@ -171,6 +171,18 @@ def test_gateop_rejects_non_finite_or_non_real_angles():
     assert GateOp("RZ", (0,), -0.0).angle.hex() == "-0x0.0p+0"
 
 
+@pytest.mark.parametrize("angle", ["0.5", b"0.5", True, False, np.bool_(True), 0.5j])
+def test_gateop_refuses_angles_that_are_not_real_numbers(angle):
+    with pytest.raises(InvalidArgument, match="RZ angle must be a real number"):
+        GateOp("RZ", (0,), angle)
+
+
+def test_gateop_takes_int_and_numpy_angles_as_float():
+    for angle in (1, np.int64(1), np.float32(1.0), np.float64(1.0)):
+        g = GateOp("RZ", (0,), angle)
+        assert type(g.angle) is float and g == GateOp("RZ", (0,), 1.0)
+
+
 def test_gateop_normalization():
     g = GateOp("cnot", (np.int64(0), np.int64(1)))
     assert g.kind == "CNOT"

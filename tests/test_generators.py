@@ -345,6 +345,14 @@ def test_angle_lists_that_are_not_real_numbers_are_refused(angles):
         gen_option_payoff(2, angles=angles)
 
 
+@pytest.mark.parametrize("angle", ["1e0", b"1", True, np.bool_(False)])
+def test_angle_lists_refuse_strings_and_bools(angle):
+    with pytest.raises(InvalidArgument, match="rbs_pyramid angles must be real numbers"):
+        gen_rbs_pyramid(2, angles=[angle])
+    with pytest.raises(InvalidArgument, match="option_payoff angles must be real numbers"):
+        gen_option_payoff(1, angles=[0.5, angle])
+
+
 @pytest.mark.parametrize("depth_factor", ["1", None, True, [1.0]])
 def test_swap_network_refuses_a_depth_factor_that_is_not_a_number(depth_factor):
     with pytest.raises(InvalidArgument, match="depth_factor must be a finite positive number"):

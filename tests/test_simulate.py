@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from blockpec.errors import (
 from blockpec.gates import GateOp, unitary_of
 from blockpec.noise import NoiseSpec, make_dephasing
 from blockpec.pauli import PauliZString
+from blockpec import simulate
 from blockpec.simulate import (
     Observable,
     apply_unitary_density,
@@ -28,6 +30,7 @@ from blockpec.simulate import (
     noisy_expectation,
     pec_estimate,
     required_samples,
+    z_sign_vector,
 )
 
 P01 = NoiseSpec("uncorrelated", 0.1)
@@ -89,6 +92,15 @@ def test_expectations_agree_between_state_and_density():
             assert obs.expectation_state(psi) == pytest.approx(
                 obs.expectation_density(rho), abs=1e-12
             )
+
+
+def test_z_string_observable_builds_its_sign_vector_once():
+    obs = Observable.z(3, 1)
+    rho, psi = np.eye(8, dtype=complex) / 8, np.full(8, 8**-0.5, dtype=complex)
+    with mock.patch.object(simulate, "z_sign_vector", wraps=simulate.z_sign_vector) as spy:
+        values = [obs.expectation_density(rho), obs.expectation_state(psi)] * 3
+    assert spy.call_count == 1 and values == [0.0] * 6
+    assert np.array_equal(obs._z_signs, z_sign_vector(0b010, 3))
 
 
 def test_ideal_expectation_pins():

@@ -109,6 +109,26 @@ def test_walk_overwrites_only_states_it_owns(case, seed, mode):
         check()
 
 
+def test_stacked_steps_go_through_run_and_evolve():
+    """Row groups evolve as one (G, 2^n, 2^n) stack; those steps, too, pass
+    through ``run`` and ``_Program.evolve``, where the test above sees them."""
+    c = gen_swap_network(4, 1.0, "rzz", 3).with_noise(NoiseSpec("uncorrelated", 0.05))
+    seen = {"run": 0, "evolve": 0}
+    real_run, real_evolve = simulate.run, simulate._Program.evolve
+
+    def run(state, step, owned=False):
+        seen["run"] += state.ndim == 3
+        return real_run(state, step, owned)
+
+    def evolve(self, state, start, stop, owned=False):
+        seen["evolve"] += state.ndim == 3
+        return real_evolve(self, state, start, stop, owned)
+
+    with mock.patch.object(simulate, "run", run), mock.patch.object(simulate._Program, "evolve", evolve):
+        pec_estimate(c, Observable.z(4, 0), "std", 400, 2)
+    assert seen["run"] and seen["evolve"], seen
+
+
 # tracemalloc peaks of the two evolutions below at the last commit whose
 # steps each returned a new array (numpy 2.4.6): about four and five 16 MiB
 # states. Holding spare buffers between steps would raise them.
