@@ -13,6 +13,7 @@ import numpy as np
 from .blocks import gamma_std, hybrid_plan
 from .circuits import Circuit
 from .errors import InvalidArgument
+from .gates import is_real
 from .generators import (
     _rng,
     gen_option_payoff,
@@ -56,8 +57,9 @@ class ExperimentConfig:
             raise InvalidArgument("seeds must be non-empty")
         if self.interaction not in ("rzz", "rbs"):
             raise InvalidArgument(f"interaction must be 'rzz' or 'rbs', got {self.interaction!r}")
-        if not math.isfinite(self.depth_factor):
-            raise InvalidArgument(f"depth_factor must be finite, got {self.depth_factor}")
+        if not (is_real(self.depth_factor) and math.isfinite(self.depth_factor)):
+            raise InvalidArgument(f"depth_factor must be a finite real number, got {self.depth_factor!r}")
+        object.__setattr__(self, "depth_factor", float(self.depth_factor))
 
     @property
     def ns(self) -> range:
@@ -71,7 +73,7 @@ class ExperimentConfig:
                 n_range=tuple(_integer(b, "n_range bound") for b in d["n_range"][:2]),
                 noise=NoiseSpec.from_dict(d["noise"]),
                 seeds=tuple(_integer(s, "seed") for s in d["seeds"]),
-                depth_factor=float(d.get("depth_factor", 1.0)),
+                depth_factor=d.get("depth_factor", 1.0),
                 interaction=d.get("interaction", "rzz"),
                 output_path=d.get("output_path"),
             )

@@ -8,7 +8,7 @@ compiled; the state's shape tells only how many states are stacked. There is
 one kernel per kind of step:
 
 - ``gather``: a gate whose matrix has one nonzero entry per row, each in
-  {+-1, +-i} (X, Z, S, CZ, CNOT, SWAP, TOFFOLI, the Paulis), moves every
+  {+-1, +-i} (X, Z, S, CZ, CNOT, SWAP, TOFFOLI), moves every
   entry from its source index, then multiplies by a local phase tensor; a
   diagonal one (Z, S, CZ, a drawn Z-string) moves nothing and only
   multiplies. A phase with a leading stack axis gives each stacked state its
@@ -25,19 +25,28 @@ one kernel per kind of step:
   view, G the stack size (then of its conjugate with the columns' view); a
   gate on any other qubit tuple is contracted with ``np.tensordot``;
 - ``pauli_channel``: impure noise sums its weighted single-qubit Pauli
-  conjugations, one qubit at a time, each Pauli a gather step.
+  conjugations, one qubit at a time, on a view of the state that splits out
+  that qubit's row and column bits: X rho X reverses both bit axes, and
+  Y rho Y and Z rho Z are X rho X and rho times (-1)^(row bit xor column
+  bit), so every term multiplies a view by a weight or a 2 x 2 weight
+  pattern.
 
 Public wrappers return new arrays; evolve owns its intermediates. A kernel
 called with ``owned=False`` leaves ``state`` untouched and returns a new
 array. With ``owned=True`` (a complex state that nothing else refers to) it may
 overwrite ``state``: the elementwise multiplies of gather and broadcast run
-in place, and a dense step on a large state reuses the state's buffer for its
-intermediates, so it holds two 2^2n arrays instead of up to four.
+in place, a dense step on a large state reuses the state's buffer for its
+intermediates, so it holds two 2^2n arrays instead of up to four, and a
+Pauli channel writes each qubit's result into the buffer that the qubit
+before it read.
 
 Gather and broadcast multiply each entry by the exact unit or the eigenvalue
 that the tensordot contraction or a full 2^n x 2^n coherence table would, so
 their results equal the tensordot-and-table route bit for bit, up to the sign
-of exact zeros. A dense step hands zgemm the operands of tensordot in the same
+of exact zeros. A Pauli channel adds the same weighted terms in the same
+order as the tensordot route; folding a sign into a weight negates the
+product exactly, so it too equals that route up to the sign of exact zeros.
+A dense step hands zgemm the operands of tensordot in the same
 roles (the gate on the left, the state on the right), either as one product or
 as a batch of (2^k, c >= 4) products, which round alike, so it equals
 tensordot bit for bit; tests/test_density_kernels.py checks every position
@@ -56,13 +65,6 @@ import itertools
 import numpy as np
 
 from .noise import ZMixtureChannel, make_dephasing, make_impure
-
-PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.diag([1.0 + 0j, -1.0]),
-}
 
 _UNIT_PHASES = (1, -1, 1j, -1j)
 
@@ -232,16 +234,30 @@ def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple, owned: bool 
     return out.reshape(state.shape)
 
 
-def pauli_channel(rho: np.ndarray, terms: tuple, owned: bool = False) -> np.ndarray:
-    """rho -> sum_P c_P P rho P^dag over the single-qubit Paulis, one qubit
-    at a time: ``terms`` holds each qubit's (c_P, step of P) pairs, summed
-    in I, X, Y, Z order."""
-    for qubit_terms in terms:
-        out = np.zeros_like(rho)
-        for c, step in qubit_terms:
-            term = run(rho, step)
-            out += np.multiply(term, c, out=term)
-        rho = out
+def pauli_channel(rho: np.ndarray, weights: np.ndarray, qubits, n: int, owned: bool = False) -> np.ndarray:
+    """rho -> sum_P w_P P rho P over P = I, X, Y, Z (``weights`` in that
+    order, summed in that order) on each of ``qubits`` in turn. Each qubit
+    views the state as (stack, 2^q, row bit, rest, 2^q, column bit, rest):
+    X rho X is that view with both bit axes reversed, and the Y and Z terms
+    take the sign (-1)^(row bit xor column bit) into their weights. The terms
+    share one buffer; on an owned state, each qubit's result lands in the
+    buffer that the previous qubit read."""
+    w_i, w_x, w_y, w_z = weights
+    parity = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 1, 2, 1)
+    w_y, w_z = w_y * parity, w_z * parity
+    stack = rho.size >> (2 * n)
+    term, spare = np.empty_like(rho), None
+    for q in qubits:
+        out = np.empty_like(rho) if spare is None else spare
+        shape = (stack, 1 << q, 2, 1 << (n - 1 - q), 1 << q, 2, 1 << (n - 1 - q))
+        r, o, t = (a.reshape(shape) for a in (rho, out, term))
+        flipped = r[:, :, ::-1, :, :, ::-1]
+        np.multiply(r, w_i, out=o)
+        o += np.multiply(flipped, w_x, out=t)
+        o += np.multiply(flipped, w_y, out=t)
+        o += np.multiply(r, w_z, out=t)
+        spare = rho if owned else None
+        rho, owned = out, True
     return rho
 
 
@@ -322,11 +338,7 @@ def sign_step(mask: int, n: int, density: bool):
 
 
 def noise_step(tag, qubits, n: int):
-    """The forward channel of a (noisy) tag on an op's qubits. Impure noise
-    compiles a step for each weighted single-qubit Pauli on each qubit."""
+    """The forward channel of a (noisy) tag on an op's qubits."""
     if tag.kind == "impure":
-        forward, _ = make_impure(tag.p, tag.q)
-        paulis = [(c, PAULI_1Q[label]) for c, label in zip(forward.coeffs, "IXYZ") if c != 0.0]
-        terms = tuple(tuple((c, unitary_step(p, (q,), n, True)) for c, p in paulis) for q in qubits)
-        return pauli_channel, (terms,)
+        return pauli_channel, (make_impure(tag.p, tag.q), tuple(qubits), n)
     return mixture_step(make_dephasing(tag, tuple(sorted(qubits))), n)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, SingularChannel, UnsupportedKind
+from .gates import is_real
 
 NOISE_KINDS = ("uncorrelated", "correlated", "impure", "none")
 
@@ -41,10 +42,9 @@ def fwht(v: np.ndarray) -> np.ndarray:
 
 
 def _real(name: str, value) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidArgument(f"noise {name} must be a real number, got {value!r}") from exc
+    if not is_real(value):
+        raise InvalidArgument(f"noise {name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -230,52 +230,16 @@ def taylor_inverse(ch: ZMixtureChannel) -> ZMixtureChannel:
     return ZMixtureChannel(ch.support, coeffs)
 
 
-@dataclass(frozen=True)
-class PauliMixture:
-    """Single-qubit channel with general Pauli terms (coefficients over
-    I, X, Y, Z in that order), used only by ``make_impure``."""
-
-    qubit: int
-    coeffs: np.ndarray
-    basis: str = "pauli"
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        if coeffs.shape != (4,):
-            raise InvalidArgument("PauliMixture takes exactly 4 coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip("IXYZ", (float(c) for c in self.coeffs)))
-
-    def total(self) -> float:
-        return float(self.coeffs.sum())
-
-    def gamma(self) -> float:
-        return float(np.abs(self.coeffs).sum())
-
-
-def make_impure(p: float, q: float, qubit: int = 0) -> tuple[PauliMixture, PauliMixture]:
-    """Dephasing-dominated channel with a tunable depolarizing admixture.
-
-    Forward coefficients: I: 1-p, X: r, Y: r, Z: p(3q+1)/(3(q+1)) with
-    r = p/(3(q+1)); q=0 is depolarizing, large q approaches pure dephasing.
-    Returns (forward, closed-form inverse); the inverse is the standard
-    first-order closed form gamma_1*((1-p)I - zc*Z - r*(X+Y)), exact only in
-    the pure-dephasing limit.
-    """
+def make_impure(p: float, q: float) -> np.ndarray:
+    """Forward weights over (I, X, Y, Z) of a dephasing-dominated channel
+    with a tunable depolarizing admixture: 1-p, r, r, p(3q+1)/(3(q+1)) with
+    r = p/(3(q+1)); q=0 is depolarizing, large q approaches pure dephasing."""
     if not 0.0 <= p < 0.5:
         raise InvalidArgument(f"p must lie in [0, 0.5), got {p}")
     if not (math.isfinite(q) and q >= 0):
         raise InvalidArgument(f"q must be finite and >= 0, got {q}")
     r = p / (3.0 * (q + 1.0))
-    zc = p * (3.0 * q + 1.0) / (3.0 * (q + 1.0))
-    forward = PauliMixture(qubit, np.array([1.0 - p, r, r, zc]))
-    gamma1 = 1.0 / (1.0 - 2.0 * p)
-    inverse = PauliMixture(
-        qubit, gamma1 * np.array([1.0 - p, -r, -r, -zc])
-    )
-    return forward, inverse
+    return np.array([1.0 - p, r, r, p * (3.0 * q + 1.0) / (3.0 * (q + 1.0))])
 
 
 def gamma_of(d) -> float:

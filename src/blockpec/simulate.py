@@ -308,7 +308,6 @@ class _Slot:
     gmasks: np.ndarray
     cum: np.ndarray
     signs: np.ndarray
-    gamma: float
 
 
 def _build_slots(c: Circuit, mode: str) -> tuple[list[_Slot], float]:
@@ -322,7 +321,7 @@ def _build_slots(c: Circuit, mode: str) -> tuple[list[_Slot], float]:
         gmasks, coeffs = seg.coeffs.masks()[keep], seg.coeffs.coeffs[keep]
         gamma = float(np.abs(coeffs).sum())
         cum = np.cumsum(np.abs(coeffs) / gamma)
-        slots.append(_Slot(seg.stop - 1, gmasks, cum, np.sign(coeffs), gamma))
+        slots.append(_Slot(seg.stop - 1, gmasks, cum, np.sign(coeffs)))
         gamma_total *= gamma
     return slots, gamma_total
 
@@ -554,10 +553,6 @@ def pec_estimate(
         for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
             if tag is None or tag.is_noiseless():
                 continue
-            if tag.kind == "impure":
-                raise InvalidArgument(
-                    "impure noise is density-only; statevector path unsupported"
-                )
             mix = make_dephasing(tag, tuple(sorted(op.qubits)))
             gmasks = mix.masks()
             cum = np.cumsum(mix.coeffs)

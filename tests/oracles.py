@@ -12,11 +12,12 @@ on every local Z-string of a gate instead of on its generators only.
 ``reference_pec_outcomes`` is the estimator's per-trajectory route: every
 distinct row of drawn masks evolved on its own from the all-zeros state.
 
-The simulator's reference kernels contract every gate with ``np.tensordot``
-and apply every Z-mixture through a 2^n x 2^n coherence-factor table gathered
-from a 4^n XOR-pattern index. ``reference_noisy_density``,
-``reference_exact_mitigated`` and ``reference_ideal_state`` are the exact
-evolutions built from them alone.
+The simulator's reference kernels contract every gate with ``np.tensordot``,
+apply every Z-mixture through a 2^n x 2^n coherence-factor table gathered
+from a 4^n XOR-pattern index, and apply impure noise as the sum of its
+weighted ``PAULI_1Q`` conjugations, each contracted with ``np.tensordot``.
+``reference_noisy_density``, ``reference_exact_mitigated`` and
+``reference_ideal_state`` are the exact evolutions built from them alone.
 """
 
 from __future__ import annotations
@@ -35,8 +36,14 @@ from blockpec.gates import GateOp
 from blockpec.gates import _rz, unitary_of
 from blockpec.noise import ZMixtureChannel, make_dephasing, make_impure
 from blockpec.pauli import PauliZString
-from blockpec.kernels import PAULI_1Q
 from blockpec.simulate import Observable, z_sign_vector
+
+PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.diag([1.0 + 0j, -1.0]),
+}
 
 
 _NAIVE_GUARD = 16
@@ -233,9 +240,9 @@ def _reference_op(rho: np.ndarray, op: GateOp, tag, n: int) -> np.ndarray:
     if tag is None or tag.is_noiseless():
         return rho
     if tag.kind == "impure":
-        forward, _ = make_impure(tag.p, tag.q)
+        forward = make_impure(tag.p, tag.q)
         for q in op.qubits:
-            rho = table_pauli1_density(rho, forward.coeffs, q, n)
+            rho = table_pauli1_density(rho, forward, q, n)
         return rho
     return table_z_mixture_density(rho, make_dephasing(tag, tuple(sorted(op.qubits))), n)
 

@@ -285,8 +285,11 @@ def test_non_finite_angle_is_a_parse_error(tmp_path, capsys):
         '{"kind": "uncorrelated", "p": "x"}',
         '{"kind": "uncorrelated", "p": [0.1]}',
         '{"kind": "impure", "p": 0.1, "q": "x"}',
+        '{"kind": "uncorrelated", "p": "0.1"}',
+        '{"kind": "none", "p": true}',
+        '{"kind": "impure", "p": 0.1, "q": true}',
     ],
-    ids=["p-string", "p-list", "q-string"],
+    ids=["p-string", "p-list", "q-string", "p-numeric-string", "p-bool", "q-bool"],
 )
 def test_noise_numbers_must_be_real(diag_circuit, capsys, noise):
     assert main(["gamma", diag_circuit, "--noise", noise]) == 4
@@ -324,7 +327,7 @@ def test_experiment_accepts_negative_seed(tmp_path, capfd):
 
 
 def test_experiment_rejects_non_finite_depth_factor(tmp_path, capsys):
-    for value in (float("nan"), float("inf")):
+    for value in (float("nan"), float("inf"), "2.5", True):
         cfg = _write_config(tmp_path, family="swap_network", depth_factor=value)
         assert main(["experiment", "--config", cfg]) == 4
         assert "depth_factor" in capsys.readouterr().err

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    PAULI_1Q,
     coherence_factors,
     dense,
     reference_exact_mitigated,
@@ -114,7 +115,7 @@ def test_monomial_gates_take_the_gather_step():
         arity, takes_angle = GATE_KINDS[kind]
         op = GateOp(kind, tuple(range(arity)), 0.7 if takes_angle else None)
         assert kernels.unitary_step(unitary_of(op), op.qubits, 3, True)[0] is kernels.dense
-    for label, pauli in kernels.PAULI_1Q.items():
+    for label, pauli in PAULI_1Q.items():
         assert kernels.unitary_step(pauli, (0,), 1, True)[0] is kernels.gather, label
     for mask in range(8):
         kernel, (src, phase, density) = kernels.sign_step(mask, 3, True)
@@ -178,8 +179,8 @@ def test_dense_steps_equal_tensordot_at_every_position(n, route):
 
 
 PERMUTATIONS = {
-    "X": kernels.PAULI_1Q["X"],
-    "Y": kernels.PAULI_1Q["Y"],  # phased; pauli_channel applies it
+    "X": PAULI_1Q["X"],
+    "Y": PAULI_1Q["Y"],  # a permutation with phases
     "CNOT": unitary_of(GateOp("CNOT", (0, 1))),
     "SWAP": unitary_of(GateOp("SWAP", (0, 1))),
     "TOFFOLI": unitary_of(GateOp("TOFFOLI", (0, 1, 2))),
@@ -241,7 +242,7 @@ def test_identity_permutation_gathers_skip_the_index(n):
     rng = np.random.default_rng(300 + n)
     ops = [GateOp("Z", (n - 1,)), GateOp("S", (0,)), GateOp("RZ", (0,), 0.0), GateOp("RZ", (0,), -0.0)]
     ops += [GateOp("CZ", (n - 1, 0))] if n > 1 else []
-    cases = [(unitary_of(op), op.qubits) for op in ops] + [(kernels.PAULI_1Q["I"], (n // 2,))]
+    cases = [(unitary_of(op), op.qubits) for op in ops] + [(PAULI_1Q["I"], (n // 2,))]
     states, densities = _states(rng, n), _densities(rng, n)
     for u, qubits in cases:
         kernel, args = kernels.unitary_step(u, qubits, n, True)
@@ -373,18 +374,41 @@ def test_full_support_factor_loops_instead_of_a_4n_table():
     assert np.array_equal(apply_z_mixture_density(rho, mix, n), rho * coherence_factors(mix, n))
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+# Impure noise's forward weights, and signed weights that differ on X and Y
+# as an inverse's would.
+PAULI_WEIGHTS = (make_impure(0.1, 0.7), np.array([1.3, -0.05, -0.11, -0.14]))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_signs_and_pauli_channel_equal_reference(n):
+    """Sign steps equal the sign table. The Pauli channel on every qubit and
+    every ordered qubit pair, on each density alone and on a stack of three,
+    owned or not (a state it does not own is left bytewise unchanged), equals
+    the tensordot sum of Pauli conjugations."""
     rng = np.random.default_rng(40 + n)
-    forward, _ = make_impure(0.1, 0.7)
-    for rho in _densities(rng, n):
+    densities = _densities(rng, n)
+    for rho in densities:
         for mask in range(1 << n):
             for got in _both(rho, kernels.sign_step(mask, n, True)):
                 assert np.array_equal(got, rho * z_sign_matrix(mask, n))
             assert np.array_equal(apply_z_string_density(rho, mask, n), got)
-        for q in range(n):
-            got = kernels.run(rho, kernels.noise_step(NoiseSpec("impure", 0.1, 0.7), (q,), n))
-            assert np.array_equal(got, table_pauli1_density(rho, forward.coeffs, q, n))
+    stack = np.stack(densities[:3])
+    positions = [(q,) for q in range(n)] + list(itertools.permutations(range(n), 2))
+    for weights in PAULI_WEIGHTS:
+        for qubits in positions:
+            step = (kernels.pauli_channel, (weights, qubits, n))
+            wants = []
+            for rho in densities:
+                want = rho
+                for q in qubits:
+                    want = table_pauli1_density(want, weights, q, n)
+                wants.append(want)
+                for got in _both(rho, step):
+                    assert np.array_equal(got, want), (weights, qubits)
+            for got in _both(stack, step):
+                assert got.shape == stack.shape
+                assert np.array_equal(got, np.stack(wants[:3])), (weights, qubits)
+    assert kernels.noise_step(NoiseSpec("impure", 0.1, 0.7), (0,), n)[0] is kernels.pauli_channel
 
 
 noise_tags = st.one_of(

@@ -62,6 +62,21 @@ def test_config_rejects_non_finite_depth_factor():
             ExperimentConfig.from_json(text)
 
 
+def test_config_depth_factor_must_be_a_real_number():
+    for value in ("2.5", True, None):
+        with pytest.raises(InvalidArgument, match="depth_factor"):
+            ExperimentConfig("swap_network", (2, 3), NoiseSpec("uncorrelated", 0.1), (0,), value)
+        text = json.dumps(
+            {"family": "swap_network", "n_range": [2, 3], "noise": {"kind": "uncorrelated", "p": 0.1},
+             "seeds": [0], "depth_factor": value}
+        )
+        with pytest.raises(InvalidArgument, match="depth_factor"):
+            ExperimentConfig.from_json(text)
+    for value in (2, np.float64(2.5)):
+        cfg = ExperimentConfig("swap_network", (2, 3), NoiseSpec("uncorrelated", 0.1), (0,), value)
+        assert cfg.depth_factor == value and type(cfg.depth_factor) is float
+
+
 def test_config_from_json():
     cfg = ExperimentConfig.from_json(
         '{"family": "swap_network", "n_range": [2, 5],'

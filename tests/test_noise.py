@@ -6,7 +6,6 @@ import pytest
 from blockpec.errors import InvalidArgument, SingularChannel, UnsupportedKind
 from blockpec.noise import (
     NoiseSpec,
-    PauliMixture,
     ZMixtureChannel,
     fwht,
     gamma_of,
@@ -214,27 +213,17 @@ def test_compose_is_eigenvalue_product():
 
 
 def test_make_impure_limits():
-    fwd, inv = make_impure(0.12, 0.0)
+    fwd = make_impure(0.12, 0.0)
     # q = 0 is depolarizing: equal X, Y, Z weights.
-    assert np.allclose(fwd.coeffs, [0.88, 0.04, 0.04, 0.04], atol=1e-15)
-    assert fwd.total() == pytest.approx(1.0)
+    assert np.allclose(fwd, [0.88, 0.04, 0.04, 0.04], atol=1e-15)
+    assert fwd.sum() == pytest.approx(1.0)
 
-    fwd_deph, _ = make_impure(0.12, 1e9)
-    assert fwd_deph.coeffs[1] == pytest.approx(0.0, abs=1e-9)
-    assert fwd_deph.coeffs[2] == pytest.approx(0.0, abs=1e-9)
-    assert fwd_deph.coeffs[3] == pytest.approx(0.12, abs=1e-8)
+    fwd_deph = make_impure(0.12, 1e9)
+    assert fwd_deph[1] == pytest.approx(0.0, abs=1e-9)
+    assert fwd_deph[2] == pytest.approx(0.0, abs=1e-9)
+    assert fwd_deph[3] == pytest.approx(0.12, abs=1e-8)
 
-    fwd0, inv0 = make_impure(0.0, 3.0)
-    assert np.array_equal(fwd0.coeffs, [1.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(inv0.coeffs, [1.0, -0.0, -0.0, -0.0])
-
-
-def test_make_impure_inverse_gamma():
-    for p, q in ((0.05, 0.0), (0.1, 1.0), (0.2, 7.5)):
-        fwd, inv = make_impure(p, q)
-        assert inv.total() == pytest.approx(1.0)
-        assert gamma_of(inv) == pytest.approx(1.0 / (1.0 - 2.0 * p))
-        assert inv.as_dict()["Z"] < 0
+    assert np.array_equal(make_impure(0.0, 3.0), [1.0, 0.0, 0.0, 0.0])
     with pytest.raises(InvalidArgument):
         make_impure(0.5, 1.0)
     with pytest.raises(InvalidArgument):
@@ -256,23 +245,23 @@ def test_noise_spec_numbers_must_be_real():
         {"kind": "none", "p": {}},
         {"kind": "impure", "p": 0.1, "q": "x"},
         {"kind": "impure", "p": 0.1, "q": [1.0]},
+        {"kind": "uncorrelated", "p": "0.1"},
+        {"kind": "none", "p": True},
+        {"kind": "impure", "p": 0.1, "q": True},
     ):
         with pytest.raises(InvalidArgument):
             NoiseSpec.from_dict(data)
-
-
-def test_pauli_mixture_validation():
     with pytest.raises(InvalidArgument):
-        PauliMixture(0, np.ones(3))
-    mix = PauliMixture(0, np.array([0.7, 0.1, 0.1, 0.1]))
-    assert mix.as_dict() == {"I": 0.7, "X": 0.1, "Y": 0.1, "Z": 0.1}
-    assert mix.gamma() == pytest.approx(1.0)
+        NoiseSpec("uncorrelated", "0.1")
+    with pytest.raises(InvalidArgument):
+        NoiseSpec("impure", 0.1, True)
+    # Ints and numpy floats are real numbers.
+    spec = NoiseSpec("impure", np.float64(0.25), 2)
+    assert (spec.p, spec.q) == (0.25, 2.0) and type(spec.p) is float and type(spec.q) is float
+    assert NoiseSpec("none", 0).p == 0.0
 
 
 def test_gamma_of():
     assert gamma_of(ZMixtureChannel((0,), np.array([1.125, -0.125]))) == pytest.approx(
         1.25
-    )
-    assert gamma_of(PauliMixture(0, np.array([1.0, -0.25, 0.0, 0.25]))) == pytest.approx(
-        1.5
     )

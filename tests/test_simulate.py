@@ -15,6 +15,7 @@ from blockpec.errors import (
     InvalidArgument,
     InvalidSamples,
     NotZClosed,
+    UnsupportedKind,
 )
 from blockpec.gates import GateOp, unitary_of
 from blockpec.noise import NoiseSpec, make_dephasing
@@ -399,9 +400,11 @@ def test_pec_estimate_statevector_path():
     assert r1 == r2
     assert abs(r1.mean - 0.5) < 1.0  # wide stochastic band
 
-    impure = c.with_noise(NoiseSpec("impure", 0.05, q=1.0))
-    with pytest.raises(Exception):
-        pec_estimate(impure, obs, "std", 10, 1)
+    # Without the H, blk reaches the noise instead of refusing the block.
+    impure = Circuit(11, ops[1:]).with_noise(NoiseSpec("impure", 0.05, q=1.0))
+    for mode in ("std", "blk", "hybrid"):
+        with pytest.raises(UnsupportedKind):
+            pec_estimate(impure, obs, mode, 10, 1)
 
 
 def test_required_samples():
