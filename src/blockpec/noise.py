@@ -234,6 +234,7 @@ def make_impure(p: float, q: float) -> np.ndarray:
     """Forward weights over (I, X, Y, Z) of a dephasing-dominated channel
     with a tunable depolarizing admixture: 1-p, r, r, p(3q+1)/(3(q+1)) with
     r = p/(3(q+1)); q=0 is depolarizing, large q approaches pure dephasing."""
+    p, q = _real("p", p), _real("q", q)
     if not 0.0 <= p < 0.5:
         raise InvalidArgument(f"p must lie in [0, 0.5), got {p}")
     if not (math.isfinite(q) and q >= 0):

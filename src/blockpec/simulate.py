@@ -334,33 +334,42 @@ def _estimator_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _unique_rows(comb: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Distinct rows of ``comb`` restricted to its nonzero columns, in
-    lexicographic column order (rows sharing a prefix of columns are
-    adjacent), the row index of every sample, and the kept op columns.
+def _unique_rows(columns: np.ndarray, widths) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of ``columns`` (k columns of S non-negative ints, column j
+    below 2^widths[j]): one sample holding each distinct row, the rows in
+    lexicographic order, and the row index of every sample.
 
-    Each row is packed big-endian into int64 keys of 63 // n columns (the
-    first column in the high bits), so sorting the keys orders the rows."""
-    cols = np.flatnonzero(comb.any(axis=0)).tolist()
-    if not cols:
-        return comb[:1, cols], np.zeros(len(comb), dtype=np.intp), cols
-    per = 63 // n
-    keys = []
-    for w in range(0, len(cols), per):
-        key = comb[:, cols[w]].copy()
-        for i in cols[w + 1 : w + per]:
-            key <<= n
-            key |= comb[:, i]
-        keys.append(key)
+    The columns are packed big-endian into int64 words of at most 63 bits
+    (the first column in the high bits), so ordering the words orders the
+    rows. One word of at most 4 S values is counted with ``bincount``;
+    otherwise the words are sorted."""
+    keys, bits = [], 64
+    for col, width in zip(columns, widths):
+        if bits + width > 63:
+            keys.append(col.astype(np.int64))
+            bits = 0
+        else:
+            keys[-1] <<= width
+            keys[-1] |= col
+        bits += width
+    size = columns.shape[1]
+    if not keys:
+        return np.zeros(1, dtype=np.intp), np.zeros(size, dtype=np.intp)
+    if len(keys) == 1 and 1 << bits <= 4 * size:
+        present = np.bincount(keys[0]) > 0
+        inverse = (np.cumsum(present) - 1)[keys[0]]
+        first = np.empty(np.count_nonzero(present), dtype=np.intp)
+        first[inverse] = np.arange(size)
+        return first, inverse
     order = np.lexsort(keys[::-1]) if len(keys) > 1 else np.argsort(keys[0])
-    new = np.zeros(len(order), dtype=bool)
+    new = np.zeros(size, dtype=bool)
     new[0] = True
     for key in keys:
         ranked = key[order]
         new[1:] |= ranked[1:] != ranked[:-1]
-    inverse = np.empty(len(order), dtype=np.intp)
+    inverse = np.empty(size, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return comb[order[new]][:, cols], inverse, cols
+    return order[new], inverse
 
 
 # Byte budget of a row group: the stacked density matrices that the walk
@@ -392,7 +401,9 @@ def _trajectory_outcomes(
     every outcome is bitwise the same.
     """
     n = c.n
-    uniq, inverse, cols = _unique_rows(comb, n)
+    cols = np.flatnonzero(comb.any(axis=0)).tolist()
+    first, inverse = _unique_rows(comb.T[cols], [n] * len(cols))
+    uniq = comb[first][:, cols]
     program = _Program(c, use_density)
     evolve = program.evolve
 
@@ -484,6 +495,40 @@ def _trajectory_outcomes(
     return out[inverse]
 
 
+def _sample_rows(
+    c: Circuit, slots: list[_Slot], n_samples: int, rng: np.random.Generator, use_density: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of per-op Z-string masks drawn for ``n_samples``
+    samples, their sign products, and every sample's row. A sample is its
+    index per slot and, on the statevector path, per noisy op's forward
+    channel; the stream gives the slots' uniforms, then the forward ones in
+    op order."""
+    uniforms = rng.random((n_samples, len(slots))).T if slots else ()
+    # Per digit: its op, masks, cumulative weights, signs (None for a forward
+    # draw) and uniforms (None: drawn from the stream in turn).
+    digits = [(s.after_op, s.gmasks, s.cum, s.signs, u) for s, u in zip(slots, uniforms)]
+    if not use_density:
+        # Statevector path: noise enters as sampled forward Z-strings.
+        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
+            if tag is not None and not tag.is_noiseless():
+                mix = make_dephasing(tag, tuple(sorted(op.qubits)))
+                digits.append((i, mix.masks(), np.cumsum(mix.coeffs), None, None))
+    digits.sort(key=lambda d: d[0])  # op order; forward digits keep theirs
+    index = np.empty((len(digits), n_samples), dtype=np.intp)
+    for row, (_, masks, cum, _, u) in zip(index, digits):
+        u = rng.random(n_samples) if u is None else u
+        np.minimum(np.searchsorted(cum, u, side="right"), len(masks) - 1, out=row)
+    first, inverse = _unique_rows(index, [(len(d[1]) - 1).bit_length() for d in digits])
+    rows = np.zeros((len(first), len(c.ops)), dtype=np.int64)
+    signs = np.ones(len(first))
+    for row, (op, masks, _, sign, _) in zip(index, digits):
+        drawn = row[first]
+        rows[:, op] ^= masks[drawn]
+        if sign is not None:
+            signs *= sign[drawn]
+    return rows, signs, inverse
+
+
 def _check_count(name: str, value) -> None:
     if not is_integer(value) or value < 1:
         raise InvalidSamples(f"{name} must be a positive integer, got {value!r}")
@@ -509,10 +554,13 @@ def pec_estimate(
     then forward-noise uniforms on the statevector path, then shot draws),
     so fixed (inputs, seed) give bitwise-identical reports.
 
-    Trajectories are evaluated once per distinct row of inserted strings.
-    Dedup keeps only the ops where some sample drew a string, packs each row
-    into int64 keys (n bits per op, the first op highest) and sorts the keys,
-    so rows sharing a prefix of inserted strings sit together. The walk takes
+    Samples are drawn as indices (per slot and, on the statevector path, per
+    noisy op's forward channel), packed as ceil(log2 L)-bit digits for L
+    entries into int64 keys, first op highest, and deduped with a bincount
+    (one key of at most 4x as many values as samples) or a sort; only the
+    distinct keys are decoded into rows of strings and sign products. The
+    walk dedups those rows the same way (n bits per op, only the ops where
+    some row inserts a string), so rows sharing a prefix sit together. It takes
     the rows in groups whose stacked density matrices fit 512 KiB (single
     rows on the statevector path and at n = 1): a group restarts from the
     state stored where it first differs from the row before, evolves its
@@ -534,34 +582,9 @@ def pec_estimate(
     use_density = c.n <= DENSITY_GUARD
     rng = _estimator_rng(seed)
 
-    # Per-op combined Z-string masks, one row per sample.
-    comb = np.zeros((n_samples, len(c.ops)), dtype=np.int64)
-    signs = np.ones(n_samples)
-    if slots:
-        u = rng.random((n_samples, len(slots)))
-        for j, slot in enumerate(slots):
-            idx = np.minimum(
-                np.searchsorted(slot.cum, u[:, j], side="right"),
-                len(slot.gmasks) - 1,
-            )
-            comb[:, slot.after_op] ^= slot.gmasks[idx]
-            signs *= slot.signs[idx]
-        del u, idx  # freed before the walk, whose row groups add their stacks
-
-    if not use_density:
-        # Statevector path: noise enters as sampled forward Z-strings.
-        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
-            if tag is None or tag.is_noiseless():
-                continue
-            mix = make_dephasing(tag, tuple(sorted(op.qubits)))
-            gmasks = mix.masks()
-            cum = np.cumsum(mix.coeffs)
-            draw = np.minimum(
-                np.searchsorted(cum, rng.random(n_samples), side="right"),
-                len(gmasks) - 1,
-            )
-            comb[:, i] ^= gmasks[draw]
-    outcomes = _trajectory_outcomes(c, obs, comb, use_density)
+    rows, row_signs, inverse = _sample_rows(c, slots, n_samples, rng, use_density)
+    outcomes = _trajectory_outcomes(c, obs, rows, use_density)[inverse]
+    signs = row_signs[inverse]
 
     if shots is not None:
         p_plus = np.clip((1.0 + outcomes) / 2.0, 0.0, 1.0)

@@ -9,6 +9,8 @@ tuple of per-layer controls instead. All three return full-support mixtures;
 ``dense`` scatters the engine's local mixtures to the same 2^n layout. ``all_strings_z_compatible`` checks Z-closure
 on every local Z-string of a gate instead of on its generators only.
 ``xcz_kron_unitary`` builds the XCZ matrix from two Kronecker products.
+``reference_pec_samples`` is the estimator's per-sample draw: every sample's
+row of per-op masks built in a samples x ops array, and its sign product.
 ``reference_pec_outcomes`` is the estimator's per-trajectory route: every
 distinct row of drawn masks evolved on its own from the all-zeros state.
 
@@ -36,7 +38,13 @@ from blockpec.gates import GateOp
 from blockpec.gates import _rz, unitary_of
 from blockpec.noise import ZMixtureChannel, make_dephasing, make_impure
 from blockpec.pauli import PauliZString
-from blockpec.simulate import Observable, z_sign_vector
+from blockpec.simulate import (
+    DENSITY_GUARD,
+    Observable,
+    _build_slots,
+    _estimator_rng,
+    z_sign_vector,
+)
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -320,3 +328,37 @@ def reference_pec_outcomes(
     uniq, inverse = np.unique(comb, axis=0, return_inverse=True)
     out = np.array([outcome(c, obs, row) for row in uniq])
     return out[inverse.reshape(-1)]
+
+
+def reference_pec_samples(
+    c: Circuit, mode: str, n_samples: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    """Every sample's row of per-op Z-string masks (samples x ops), its sign
+    product, and the stream after the draws: each slot's drawn string XORed
+    into its op's column, then on the statevector path (n > 10) each noisy
+    op's drawn forward string, taking the uniforms in the estimator's order
+    (the slots' as one samples x slots block, then one vector per noisy op)."""
+    slots, _ = _build_slots(c, mode)
+    rng = _estimator_rng(seed)
+    comb = np.zeros((n_samples, len(c.ops)), dtype=np.int64)
+    signs = np.ones(n_samples)
+    if slots:
+        u = rng.random((n_samples, len(slots)))
+        for j, slot in enumerate(slots):
+            idx = np.minimum(
+                np.searchsorted(slot.cum, u[:, j], side="right"), len(slot.gmasks) - 1
+            )
+            comb[:, slot.after_op] ^= slot.gmasks[idx]
+            signs *= slot.signs[idx]
+    if c.n > DENSITY_GUARD:
+        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
+            if tag is None or tag.is_noiseless():
+                continue
+            mix = make_dephasing(tag, tuple(sorted(op.qubits)))
+            gmasks = mix.masks()
+            draw = np.minimum(
+                np.searchsorted(np.cumsum(mix.coeffs), rng.random(n_samples), side="right"),
+                len(gmasks) - 1,
+            )
+            comb[:, i] ^= gmasks[draw]
+    return comb, signs, rng

@@ -1,8 +1,10 @@
-"""Differential test: the estimator's prefix-shared trajectory walk against
-the per-trajectory route in oracles.py, bit for bit, on random small
-circuits and random mask rows, on both the density and the statevector
-evolution, with the walk's table and state budgets squeezed to zero and its
-row groups of one row, of a few rows, or of the default size."""
+"""Differential tests of the estimator's internals. The prefix-shared
+trajectory walk against the per-trajectory route in oracles.py, bit for bit,
+on random small circuits and random mask rows, on both the density and the
+statevector evolution, with the walk's table and state budgets squeezed to
+zero and its row groups of one row, of a few rows, or of the default size.
+The sampler's distinct rows and signs against the per-sample draw in
+oracles.py, and the packed-key dedup against ``np.unique``."""
 
 from __future__ import annotations
 
@@ -10,17 +12,23 @@ import math
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_pec_outcomes
+from oracles import reference_pec_outcomes, reference_pec_samples
 
 from blockpec import kernels, simulate
 from blockpec.blocks import gamma_std
 from blockpec.circuits import Circuit, parse_circuit
 from blockpec.gates import GATE_KINDS, GateOp
+from blockpec.generators import gen_swap_network
 from blockpec.noise import NoiseSpec
 from blockpec.simulate import (
+    DENSITY_GUARD,
     Observable,
+    _build_slots,
+    _estimator_rng,
+    _sample_rows,
     _trajectory_outcomes,
     _unique_rows,
     pec_estimate,
@@ -130,7 +138,7 @@ def test_groups_restart_within_their_own_shared_prefix():
     )
     c = Circuit(2, ops).with_noise(NoiseSpec("uncorrelated", 0.05))
     comb = np.array(rows * 3, dtype=np.int64)
-    uniq, _, _ = _unique_rows(comb, c.n)
+    uniq = np.unique(comb[:, comb.any(axis=0)], axis=0)
     lcp = np.argmax(uniq[1:] != uniq[:-1], axis=1)  # lcp[r - 1]: rows r - 1 and r
     assert lcp[1] > lcp[2] and lcp[3] > lcp[4]  # deeper than their group's share
     obs = Observable.z(2, 1)
@@ -159,6 +167,21 @@ def test_one_qubit_rows_match_the_oracle():
 CRITERION_06 = "qubits=3\nH 0\nRZ 0;theta=0.7\nH 0\nCNOT 0,1\nH 1\nRZ 1;theta=0.4\nH 1\nCNOT 1,2\n"
 
 
+def test_criterion_06_walk_receives_only_the_distinct_rows():
+    # The sampler dedups the drawn indices before it decodes masks, so the
+    # walk is handed the 479 distinct rows of the 63,992 samples.
+    c = parse_circuit(CRITERION_06).with_noise(NoiseSpec("uncorrelated", 0.1))
+    samples = required_samples(gamma_std(c), 0.05, 0.05)
+    assert samples == 63_992
+    comb, _, _ = reference_pec_samples(c, "std", samples, 1)
+    distinct = len(np.unique(comb, axis=0))
+    assert distinct == 479
+    walk = simulate._trajectory_outcomes
+    with mock.patch.object(simulate, "_trajectory_outcomes", wraps=walk) as spy:
+        pec_estimate(c, Observable.z(3, 0), "std", samples, 1)
+    assert spy.call_count == 1 and spy.call_args.args[2].shape == (distinct, len(c.ops))
+
+
 def test_criterion_06_rows_evolve_as_one_stack():
     # Its few hundred distinct rows of 1 KiB density matrices fit one group:
     # past the shared start, every op runs once on the stack of all of them.
@@ -169,18 +192,75 @@ def test_criterion_06_rows_evolve_as_one_stack():
     assert spy.call_count == sum(op.kind in ("H", "RZ") for op in c.ops) == 6
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(st.integers(1, 14), st.integers(1, 40), st.integers(1, 60), st.integers(0, 2**32 - 1))
-def test_packed_dedup_matches_numpy_unique(n, ops, samples, seed):
-    # Distinct rows in lexicographic order, sample to row index, kept
-    # columns; up to 63 // n columns per key, so wide rows span several keys.
+_C06 = parse_circuit(CRITERION_06)
+_SWAP = gen_swap_network(4, 1.0, "rzz", 0)
+_SWAP5 = gen_swap_network(5, 1.0, "rzz", 0)
+_WIDE = gen_swap_network(11, 0.5, "rzz", 0)  # statevector path
+_P1, _P05, _P01 = (NoiseSpec("uncorrelated", p) for p in (0.1, 0.05, 0.01))
+# name: (circuit, mode, sample range, dedup route of the drawn indices)
+SAMPLING_CASES = {
+    # 10 bits of digits: one word, counted once 2^10 <= 4 S.
+    "std bincount": (_C06.with_noise(_P1), "std", (256, 3000), "bincount"),
+    "blk": (_SWAP.with_noise(_P05), "blk", (1, 2000), None),
+    "hybrid": (_C06.with_noise(_P05), "hybrid", (1, 2000), None),
+    # 40 slots of 2 bits: two words.
+    "std words": (_SWAP5.with_noise(_P05), "std", (1, 500), "words"),
+    "statevector std": (_WIDE.with_noise(_P01), "std", (1, 200), "words"),
+    "statevector blk": (_WIDE.with_noise(NoiseSpec("correlated", 0.01)), "blk", (1, 200), "words"),
+    "no slots": (_C06.with_noise(NoiseSpec("uncorrelated", 0.0)), "std", (1, 500), "none"),
+    "statevector no noise": (_WIDE, "std", (1, 50), "none"),
+}
+
+
+@pytest.mark.parametrize("name", list(SAMPLING_CASES))
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sampled_rows_match_the_per_sample_draw(name, data):
+    # The distinct rows and signs, taken back through the sample-to-row
+    # index, are bytewise the samples x ops draw, and the stream is left at
+    # the same place.
+    c, mode, (lo, hi), route = SAMPLING_CASES[name]
+    samples = data.draw(st.integers(lo, hi))
+    seed = data.draw(st.integers(0, 2**64 - 1))
+    slots, _ = _build_slots(c, mode)
+    rng = _estimator_rng(seed)
+    with mock.patch.object(simulate, "_unique_rows", wraps=_unique_rows) as spy:
+        rows, signs, inverse = _sample_rows(c, slots, samples, rng, c.n <= DENSITY_GUARD)
+    comb, want_signs, want_rng = reference_pec_samples(c, mode, samples, seed)
+    assert rows[inverse].tobytes() == comb.tobytes()
+    assert signs[inverse].tobytes() == want_signs.tobytes()
+    assert rng.random() == want_rng.random()
+    bits = sum(spy.call_args.args[1])  # the digits' widths
+    if route == "none":
+        assert bits == 0 and len(rows) == 1
+    elif route == "bincount":
+        assert bits <= 63 and 1 << bits <= 4 * samples
+    elif route == "words":
+        assert bits > 63
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 3), max_size=4),  # few bits: one counted word
+        st.lists(st.integers(0, 14), max_size=40),  # wide rows span several words
+    ),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+@example([14] * 4 + [0, 5, 13] * 10, 200, 1)
+@example([2, 0, 3, 1], 300, 2)
+def test_packed_dedup_matches_numpy_unique(widths, samples, seed):
+    # One sample per distinct row, the rows in lexicographic order, and the
+    # sample to row index; columns of mixed bit widths, counted with a
+    # bincount when they pack into one small word, sorted otherwise.
     rng = np.random.default_rng(seed)
-    comb = rng.integers(0, 1 << n, size=(samples, ops)) * (rng.random((samples, ops)) < 0.4)
-    comb[:, rng.random(ops) < 0.3] = 0
-    uniq, inverse, cols = _unique_rows(comb, n)
-    assert cols == np.flatnonzero(comb.any(axis=0)).tolist()
-    want, want_inverse = np.unique(comb[:, cols], axis=0, return_inverse=True)
-    if not cols:
-        assert uniq.shape == (1, 0) and not inverse.any()
+    cols = [rng.integers(0, 1 << w, size=samples) * (rng.random(samples) < 0.6) for w in widths]
+    comb = np.array(cols, dtype=np.int64).reshape(len(widths), samples).T
+    first, inverse = _unique_rows(comb.T, widths)
+    if not widths:
+        assert first.tolist() == [0] and not inverse.any()
         return
-    assert np.array_equal(uniq, want) and np.array_equal(inverse, want_inverse.reshape(-1))
+    want, want_inverse = np.unique(comb, axis=0, return_inverse=True)
+    assert np.array_equal(comb[first], want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))

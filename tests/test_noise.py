@@ -228,6 +228,11 @@ def test_make_impure_limits():
         make_impure(0.5, 1.0)
     with pytest.raises(InvalidArgument):
         make_impure(0.1, -0.5)
+    # p and q must be real numbers: no strings, and no bools read as 0 or 1.
+    for p, q in (("0.1", 1.0), (0.1, "1"), (False, 1.0), (0.1, True)):
+        with pytest.raises(InvalidArgument):
+            make_impure(p, q)
+    assert np.array_equal(make_impure(np.float64(0.12), 0), fwd)
 
 
 def test_non_finite_impure_bias_rejected():
