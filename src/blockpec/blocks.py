@@ -19,7 +19,7 @@ from .circuits import Circuit
 from .classify import maximal_segments
 from .conjugation import local_images
 from .errors import GuardExceeded, InvalidArgument, NotZClosed, Unsupported
-from .gates import GateOp
+from .gates import GateOp, is_real
 from .noise import (
     NoiseSpec,
     ZMixtureChannel,
@@ -62,35 +62,23 @@ class _GateTables:
     (NoiseSpec, arity), the layer inverse with its gamma and the local Walsh
     expansion of the noise's log-eigenvalues. Nothing outlives the call."""
 
-    def __init__(self, n: int):
-        self.n = n
+    def __init__(self):
         self._images: dict = {}
         self._noise: dict = {}
 
-    def _images_of(self, op: GateOp):
-        """conjugation.local_images(op) once per (kind, angle), None when
-        the gate maps every generator to itself."""
+    def images(self, op: GateOp) -> tuple[int | None, ...]:
+        """conjugation.local_images(op) once per (kind, angle): the local mask
+        (bit b = op.qubits[b]) of the image of each generator Z_{op.qubits[a]},
+        None for one that leaves the Z-string group; () when the gate maps
+        every generator to itself."""
         key = (op.kind, op.angle)
-        if key not in self._images:
+        images = self._images.get(key)
+        if images is None:
             images = local_images(op)
-            identity = all(m == 1 << a for a, m in enumerate(images))
-            self._images[key] = None if identity else images
-        return self._images[key]
-
-    def local_images(self, op: GateOp) -> tuple[int, ...] | None:
-        """Local mask (bit b = op.qubits[b]) of the image of each generator
-        Z_{op.qubits[a]}; None when the gate maps every generator to itself.
-        Raises NotZClosed, naming the op and its first qubit whose generator
-        leaves the Z-string group."""
-        images = self._images_of(op)
-        if None in (images or ()):
-            q = op.qubits[images.index(None)]
-            raise NotZClosed(op, PauliZString.single(self.n, q))
+            if all(m == 1 << a for a, m in enumerate(images)):
+                images = ()
+            self._images[key] = images
         return images
-
-    def z_closed(self, op: GateOp) -> bool:
-        """Whether the gate maps every Z-string to a Z-string."""
-        return None not in (self._images_of(op) or ())
 
     def noise(self, op: GateOp, spec: NoiseSpec | None) -> tuple:
         """Per (spec, op arity): the coefficients of layer_distribution(op,
@@ -157,10 +145,12 @@ def _walsh_engine(
     """
     ops = c.ops[start:stop]
     # Compile in circuit order so that the first offending op raises.
-    compiled = [
-        (tables.local_images(op), tables.noise(op, tag)[2])
-        for op, tag in zip(ops, c.noise_tags[start:stop])
-    ]
+    compiled = []
+    for op, tag in zip(ops, c.noise_tags[start:stop]):
+        images = tables.images(op)
+        if None in images:
+            raise NotZClosed(op, PauliZString.single(c.n, op.qubits[images.index(None)]))
+        compiled.append((images, tables.noise(op, tag)[2]))
     pushed = [1 << q for q in range(c.n)]
     # Per arity m: the pushed masks of each noisy op's sorted qubits (m per
     # op, flat) and the op's Walsh weights.
@@ -170,7 +160,7 @@ def _walsh_engine(
             rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
             rows.extend(pushed[q] for q in sorted(op.qubits))
             weights.append(g_hat)
-        if images is not None:
+        if images:
             before = [pushed[q] for q in op.qubits]
             for q, image in zip(op.qubits, images):
                 pushed[q] = _xor_of(before, image)
@@ -223,7 +213,7 @@ def block_coefficients(c: Circuit) -> ZMixtureChannel:
     GuardExceeded when the noise reaches more than 20 qubits or the
     coefficients overflow float64.
     """
-    return _walsh_engine(c, 0, len(c.ops), _GateTables(c.n), -1.0)
+    return _walsh_engine(c, 0, len(c.ops), _GateTables(), -1.0)
 
 
 def effective_noise(c: Circuit) -> ZMixtureChannel:
@@ -233,13 +223,13 @@ def effective_noise(c: Circuit) -> ZMixtureChannel:
 
     The same Walsh-domain computation as block_coefficients, with the
     log-eigenvalues taken positive instead of negated."""
-    return _walsh_engine(c, 0, len(c.ops), _GateTables(c.n), 1.0)
+    return _walsh_engine(c, 0, len(c.ops), _GateTables(), 1.0)
 
 
 def gamma_std(c: Circuit) -> float:
     """Per-gate sampling cost: the product of per-layer L1 norms. Raises
     GuardExceeded when the product overflows float64."""
-    tables = _GateTables(c.n)
+    tables = _GateTables()
     total = 1.0
     for op, tag in zip(c.ops, c.noise_tags):
         total *= tables.noise(op, tag)[1]
@@ -300,13 +290,13 @@ def mitigation_plan(c: Circuit, mode: str) -> MitigationPlan:
     total is gamma_std, gamma_blk or the hybrid cost; an unknown mode raises
     InvalidArgument and an overflowing total GuardExceeded."""
     _check_mode(mode)
-    tables = _GateTables(c.n)
+    tables = _GateTables()
     if mode == "std":
         runs = {}
     elif mode == "blk":
         runs = {0: len(c.ops)}
     else:
-        runs = dict(maximal_segments(map(tables.z_closed, c.ops)))
+        runs = dict(maximal_segments(None not in tables.images(op) for op in c.ops))
     segments: list[PlanSegment] = []
     total = 1.0
     i = 0
@@ -342,8 +332,8 @@ def analytic_pattern_gammas(
     """
     if pattern not in ("a", "b", "c"):
         raise InvalidArgument(f"unknown pattern {pattern!r}")
-    if not 0.0 < p < 0.5:
-        raise InvalidArgument(f"p must lie in (0, 0.5), got {p}")
+    if not (is_real(p) and 0.0 < p < 0.5):
+        raise InvalidArgument(f"p must lie in (0, 0.5), got {p!r}")
     if correlated:
         if pattern != "b":
             raise Unsupported(

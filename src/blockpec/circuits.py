@@ -31,6 +31,8 @@ class Circuit:
         if self.n < 1:
             raise InvalidArgument(f"need at least one qubit, got n={self.n}")
         for op in self.ops:
+            if not isinstance(op, GateOp):
+                raise InvalidArgument(f"an op must be a GateOp, got {op!r}")
             if max(op.qubits, default=0) >= self.n:
                 raise InvalidArgument(f"{op} out of range for n={self.n}")
         tags = tuple(self.noise_tags)

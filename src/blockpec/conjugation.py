@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotZClosed
-from .gates import GateOp, local_z_diag, unitary_of
+from .gates import GateOp, unitary_of, z_sign_vector
 from .pauli import PauliZString
 
 PASS_THROUGH_KINDS = frozenset({"XCZ", "RBS"})
@@ -34,13 +34,13 @@ def _match(u: np.ndarray, local_mask: int, arity: int) -> int | None:
     """The local mask t with U Z_local U^dag = (phase) Z_t, or None. Z_t
     has sign (-1)^{t_a} at the index where only local bit a is set, so t is
     read there and then checked against the whole diagonal."""
-    m = (u * local_z_diag(local_mask, arity)[np.newaxis, :]) @ u.conj().T
+    m = (u * z_sign_vector(local_mask, arity)[np.newaxis, :]) @ u.conj().T
     diag = np.diagonal(m)
     if np.abs(m - np.diag(diag)).max() > _TOL or abs(abs(diag[0]) - 1.0) > _TOL:
         return None
     ratios = diag / diag[0]
     t = sum(1 << a for a in range(arity) if ratios[1 << (arity - 1 - a)].real < 0)
-    if np.abs(ratios - local_z_diag(t, arity)).max() > _TOL:
+    if np.abs(ratios - z_sign_vector(t, arity)).max() > _TOL:
         return None
     return t
 

@@ -13,7 +13,7 @@ import numpy as np
 from .blocks import gamma_std, hybrid_plan
 from .circuits import Circuit
 from .errors import InvalidArgument
-from .gates import is_real
+from .gates import integer, is_real
 from .generators import (
     _rng,
     gen_option_payoff,
@@ -30,11 +30,11 @@ CSV_HEADER = ("family", "n", "depth", "seed", "gamma_std", "gamma_blk", "gain")
 
 
 def _integer(value, what: str) -> int:
-    """int(value), refusing a float with a fractional part instead of
-    truncating it (JSON gives 4.9 as a float)."""
-    if isinstance(value, float) and not value.is_integer():
-        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    """gates.integer(value), after turning an integral float into an int
+    (JSON may give 4 as 4.0); 4.9, "4" and True are refused."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return integer(value, what)
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise InvalidArgument(f"unknown family {self.family!r}")
-        lo, hi = self.n_range
+        if not isinstance(self.n_range, (tuple, list)) or len(self.n_range) != 2:
+            raise InvalidArgument(f"n_range must be two bounds, got {self.n_range!r}")
+        lo, hi = (_integer(b, "n_range bound") for b in self.n_range)
         if lo > hi or lo < 1:
             raise InvalidArgument(f"bad n_range {self.n_range}")
+        object.__setattr__(self, "n_range", (lo, hi))
+        if not isinstance(self.seeds, (tuple, list)):
+            raise InvalidArgument(f"seeds must be a list of integers, got {self.seeds!r}")
+        object.__setattr__(self, "seeds", tuple(_integer(s, "seed") for s in self.seeds))
         if not self.seeds:
             raise InvalidArgument("seeds must be non-empty")
+        if not isinstance(self.noise, NoiseSpec):
+            raise InvalidArgument(f"noise must be a NoiseSpec, got {self.noise!r}")
         if self.interaction not in ("rzz", "rbs"):
             raise InvalidArgument(f"interaction must be 'rzz' or 'rbs', got {self.interaction!r}")
         if not (is_real(self.depth_factor) and math.isfinite(self.depth_factor)):
@@ -70,9 +78,9 @@ class ExperimentConfig:
         try:
             cfg = cls(
                 family=d["family"],
-                n_range=tuple(_integer(b, "n_range bound") for b in d["n_range"][:2]),
+                n_range=d["n_range"],
                 noise=NoiseSpec.from_dict(d["noise"]),
-                seeds=tuple(_integer(s, "seed") for s in d["seeds"]),
+                seeds=d["seeds"],
                 depth_factor=d.get("depth_factor", 1.0),
                 interaction=d.get("interaction", "rzz"),
                 output_path=d.get("output_path"),

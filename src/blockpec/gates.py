@@ -208,16 +208,15 @@ def expand_composite(g: GateOp) -> list[GateOp]:
     return [g]
 
 
-def local_z_diag(local_mask: int, arity: int) -> np.ndarray:
-    """Diagonal (+/-1) of the Z-string ``local_mask`` in gate-local big-endian
-    basis order: local bit a of the mask refers to ``qubits[a]``, whose basis
-    bit sits at position arity-1-a of the index."""
-    if not 0 <= local_mask < (1 << arity):
-        raise InvalidArgument(f"local mask {local_mask} out of range for arity {arity}")
-    dim = 1 << arity
-    diag = np.ones(dim)
-    for a in range(arity):
-        if local_mask >> a & 1:
-            bit = (np.arange(dim) >> (arity - 1 - a)) & 1
-            diag = diag * np.where(bit, -1.0, 1.0)
-    return diag
+def z_sign_vector(mask: int, n: int) -> np.ndarray:
+    """(+/-1)^{parity of mask bits} over the 2^n basis indices, big-endian:
+    mask bit q refers to qubit q, which sits at index bit n-1-q (for a gate's
+    local mask, qubit q is ``qubits[q]``)."""
+    if not 0 <= mask < (1 << n):
+        raise InvalidArgument(f"mask {mask} out of range for {n} qubit(s)")
+    idx = np.arange(1 << n)
+    signs = np.ones(1 << n)
+    for q in range(n):
+        if mask >> q & 1:
+            signs *= np.where((idx >> (n - 1 - q)) & 1, -1.0, 1.0)
+    return signs

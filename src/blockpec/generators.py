@@ -8,7 +8,6 @@ metadata so outputs are re-runnable bit-for-bit.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
@@ -105,8 +104,7 @@ def gen_swap_network(
         raise InvalidArgument(f"swap_network needs n >= 2, got {n}")
     if interaction not in ("rzz", "rbs"):
         raise InvalidArgument(f"interaction must be 'rzz' or 'rbs', got {interaction!r}")
-    real = isinstance(depth_factor, numbers.Real) and not isinstance(depth_factor, bool)
-    if not (real and math.isfinite(depth_factor) and depth_factor > 0):
+    if not (is_real(depth_factor) and math.isfinite(depth_factor) and depth_factor > 0):
         raise InvalidArgument(f"depth_factor must be a finite positive number, got {depth_factor!r}")
     rng = _rng(seed, "swap_network")
     ops = []

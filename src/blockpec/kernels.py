@@ -64,6 +64,7 @@ import itertools
 
 import numpy as np
 
+from .gates import z_sign_vector
 from .noise import ZMixtureChannel, make_dephasing, make_impure
 
 _UNIT_PHASES = (1, -1, 1j, -1j)
@@ -102,17 +103,6 @@ _REUSE_SIZE = 1 << 14
 # statevector it wins at every size.
 _SLICE_RUN = 8
 _SLICE_BLOCK = 1 << 10
-
-
-def z_sign_vector(mask: int, n: int) -> np.ndarray:
-    """(+/-1)^{parity of mask bits} over the 2^n basis indices (qubit q lives
-    at index bit n-1-q)."""
-    idx = np.arange(1 << n)
-    signs = np.ones(1 << n)
-    for q in range(n):
-        if mask >> q & 1:
-            signs *= np.where((idx >> (n - 1 - q)) & 1, -1.0, 1.0)
-    return signs
 
 
 def run(state: np.ndarray, step, owned: bool = False) -> np.ndarray:

@@ -26,7 +26,7 @@ from .errors import (
     InvalidArgument,
     InvalidSamples,
 )
-from .gates import integer, is_integer, unitary_of
+from .gates import integer, is_integer, is_real, unitary_of, z_sign_vector
 from .kernels import (
     gather,
     mixture_step,
@@ -34,7 +34,6 @@ from .kernels import (
     run,
     sign_step,
     unitary_step,
-    z_sign_vector,
 )
 from .noise import ZMixtureChannel, make_dephasing
 from .pauli import PauliZString
@@ -227,20 +226,20 @@ def _check_obs(c: Circuit, obs: Observable) -> None:
         raise InvalidArgument(f"observable on {obs.n} qubits, circuit on {c.n}")
 
 
+def _zero_state(n: int, density: bool) -> np.ndarray:
+    """|0...0>, as a 2^n statevector or a 2^n x 2^n density matrix."""
+    state = np.zeros((1 << n, 1 << n) if density else 1 << n, dtype=complex)
+    state.flat[0] = 1.0
+    return state
+
+
 def ideal_expectation(c: Circuit, obs: Observable) -> float:
     """Noiseless expectation from the all-zeros initial state (statevector)."""
     _check_obs(c, obs)
     if c.n > STATEVECTOR_GUARD:
         raise GuardExceeded(f"statevector refused for n={c.n} > {STATEVECTOR_GUARD}")
-    psi = np.zeros(1 << c.n, dtype=complex)
-    psi[0] = 1.0
-    return obs.expectation_state(_Program(c, density=False).evolve(psi, 0, len(c.ops), owned=True))
-
-
-def _zero_density(n: int) -> np.ndarray:
-    rho = np.zeros((1 << n, 1 << n), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
+    psi = _Program(c, density=False).evolve(_zero_state(c.n, False), 0, len(c.ops), owned=True)
+    return obs.expectation_state(psi)
 
 
 def _density_expectation(c: Circuit, obs: Observable, mode: str | None) -> float:
@@ -249,7 +248,7 @@ def _density_expectation(c: Circuit, obs: Observable, mode: str | None) -> float
     if c.n > DENSITY_GUARD:
         raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
     plan = None if mode is None else mitigation_plan(c, mode)
-    rho = _Program(c, True, plan).evolve(_zero_density(c.n), 0, len(c.ops), owned=True)
+    rho = _Program(c, True, plan).evolve(_zero_state(c.n, True), 0, len(c.ops), owned=True)
     return obs.expectation_density(rho)
 
 
@@ -299,31 +298,31 @@ class EstimatorReport:
         return json.dumps(self.to_dict())
 
 
-@dataclass(frozen=True)
-class _Slot:
-    """One sampling slot: a signed distribution whose drawn string is applied
-    after op ``after_op``."""
-
-    after_op: int
-    gmasks: np.ndarray
-    cum: np.ndarray
-    signs: np.ndarray
-
-
-def _build_slots(c: Circuit, mode: str) -> tuple[list[_Slot], float]:
-    """One slot per segment of the mode's plan that is not the identity."""
-    slots: list[_Slot] = []
+def _draws(c: Circuit, mode: str, use_density: bool) -> tuple[list[tuple], float]:
+    """What a sample draws, in op order, as (op, masks, cumulative weights,
+    signs) with the drawn string applied after op ``op``: one slot per
+    segment of the mode's plan that is not the identity, drawn with
+    probability |coeff| / gamma; on the statevector path also each noisy op's
+    forward channel, with signs None. At one op, the slot comes first. Also
+    the product of the slots' gammas."""
+    draws = []
     gamma_total = 1.0
     for seg in mitigation_plan(c, mode).segments:
         if seg.coeffs.is_identity():
             continue
         keep = seg.coeffs.coeffs != 0.0
-        gmasks, coeffs = seg.coeffs.masks()[keep], seg.coeffs.coeffs[keep]
+        masks, coeffs = seg.coeffs.masks()[keep], seg.coeffs.coeffs[keep]
         gamma = float(np.abs(coeffs).sum())
-        cum = np.cumsum(np.abs(coeffs) / gamma)
-        slots.append(_Slot(seg.stop - 1, gmasks, cum, np.sign(coeffs)))
+        draws.append((seg.stop - 1, masks, np.cumsum(np.abs(coeffs) / gamma), np.sign(coeffs)))
         gamma_total *= gamma
-    return slots, gamma_total
+    if not use_density:
+        # Statevector path: noise enters as sampled forward Z-strings.
+        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
+            if tag is not None and not tag.is_noiseless():
+                mix = make_dephasing(tag, tuple(sorted(op.qubits)))
+                draws.append((i, mix.masks(), np.cumsum(mix.coeffs), None))
+        draws.sort(key=lambda d: d[0])  # stable: a slot stays before its op's forward draw
+    return draws, gamma_total
 
 
 _SEED_SALT = 0x5EC0_11EC
@@ -407,12 +406,8 @@ def _trajectory_outcomes(
     program = _Program(c, use_density)
     evolve = program.evolve
 
-    if use_density:
-        initial, expect = _zero_density(n), obs.expectation_density
-    else:
-        initial = np.zeros(1 << n, dtype=complex)
-        initial[0] = 1.0
-        expect = obs.expectation_state
+    initial = _zero_state(n, use_density)
+    expect = obs.expectation_density if use_density else obs.expectation_state
 
     def signs(mask: int):
         return program.step(("signs", mask), lambda: sign_step(mask, n, use_density))
@@ -496,32 +491,22 @@ def _trajectory_outcomes(
 
 
 def _sample_rows(
-    c: Circuit, slots: list[_Slot], n_samples: int, rng: np.random.Generator, use_density: bool
+    c: Circuit, draws: list[tuple], n_samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of per-op Z-string masks drawn for ``n_samples``
     samples, their sign products, and every sample's row. A sample is its
-    index per slot and, on the statevector path, per noisy op's forward
-    channel; the stream gives the slots' uniforms, then the forward ones in
-    op order."""
-    uniforms = rng.random((n_samples, len(slots))).T if slots else ()
-    # Per digit: its op, masks, cumulative weights, signs (None for a forward
-    # draw) and uniforms (None: drawn from the stream in turn).
-    digits = [(s.after_op, s.gmasks, s.cum, s.signs, u) for s, u in zip(slots, uniforms)]
-    if not use_density:
-        # Statevector path: noise enters as sampled forward Z-strings.
-        for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
-            if tag is not None and not tag.is_noiseless():
-                mix = make_dephasing(tag, tuple(sorted(op.qubits)))
-                digits.append((i, mix.masks(), np.cumsum(mix.coeffs), None, None))
-    digits.sort(key=lambda d: d[0])  # op order; forward digits keep theirs
-    index = np.empty((len(digits), n_samples), dtype=np.intp)
-    for row, (_, masks, cum, _, u) in zip(index, digits):
-        u = rng.random(n_samples) if u is None else u
+    index per draw of ``_draws``; the stream gives the slots' uniforms as one
+    samples x slots block, then one vector per forward draw in op order."""
+    slots = sum(sign is not None for *_, sign in draws)
+    uniforms = iter(rng.random((n_samples, slots)).T)
+    index = np.empty((len(draws), n_samples), dtype=np.intp)
+    for row, (_, masks, cum, sign) in zip(index, draws):
+        u = rng.random(n_samples) if sign is None else next(uniforms)
         np.minimum(np.searchsorted(cum, u, side="right"), len(masks) - 1, out=row)
-    first, inverse = _unique_rows(index, [(len(d[1]) - 1).bit_length() for d in digits])
+    first, inverse = _unique_rows(index, [(len(d[1]) - 1).bit_length() for d in draws])
     rows = np.zeros((len(first), len(c.ops)), dtype=np.int64)
     signs = np.ones(len(first))
-    for row, (op, masks, _, sign, _) in zip(index, digits):
+    for row, (op, masks, _, sign) in zip(index, draws):
         drawn = row[first]
         rows[:, op] ^= masks[drawn]
         if sign is not None:
@@ -578,11 +563,11 @@ def pec_estimate(
     seed = integer(seed, "seed")
     if c.n > STATEVECTOR_GUARD:
         raise GuardExceeded(f"estimator refused for n={c.n} > {STATEVECTOR_GUARD}")
-    slots, gamma_total = _build_slots(c, mode)
     use_density = c.n <= DENSITY_GUARD
+    draws, gamma_total = _draws(c, mode, use_density)
     rng = _estimator_rng(seed)
 
-    rows, row_signs, inverse = _sample_rows(c, slots, n_samples, rng, use_density)
+    rows, row_signs, inverse = _sample_rows(c, draws, n_samples, rng)
     outcomes = _trajectory_outcomes(c, obs, rows, use_density)[inverse]
     signs = row_signs[inverse]
 
@@ -611,6 +596,9 @@ def pec_estimate(
 def required_samples(gamma: float, delta: float, epsilon: float) -> int:
     """Hoeffding budget: smallest S with failure probability <= epsilon at
     precision delta, S = ceil(gamma^2 / (2 delta^2) * ln(2/epsilon))."""
+    for name, value in (("gamma", gamma), ("delta", delta), ("epsilon", epsilon)):
+        if not is_real(value):
+            raise InvalidArgument(f"{name} must be a real number, got {value!r}")
     if not (math.isfinite(gamma) and gamma >= 1.0):
         raise InvalidArgument(f"gamma must be finite and >= 1, got {gamma}")
     if not (math.isfinite(delta) and delta > 0.0):

@@ -41,7 +41,7 @@ from blockpec.pauli import PauliZString
 from blockpec.simulate import (
     DENSITY_GUARD,
     Observable,
-    _build_slots,
+    _draws,
     _estimator_rng,
     z_sign_vector,
 )
@@ -338,18 +338,16 @@ def reference_pec_samples(
     into its op's column, then on the statevector path (n > 10) each noisy
     op's drawn forward string, taking the uniforms in the estimator's order
     (the slots' as one samples x slots block, then one vector per noisy op)."""
-    slots, _ = _build_slots(c, mode)
+    slots, _ = _draws(c, mode, use_density=True)  # the slots alone
     rng = _estimator_rng(seed)
     comb = np.zeros((n_samples, len(c.ops)), dtype=np.int64)
     signs = np.ones(n_samples)
     if slots:
         u = rng.random((n_samples, len(slots)))
-        for j, slot in enumerate(slots):
-            idx = np.minimum(
-                np.searchsorted(slot.cum, u[:, j], side="right"), len(slot.gmasks) - 1
-            )
-            comb[:, slot.after_op] ^= slot.gmasks[idx]
-            signs *= slot.signs[idx]
+        for j, (after_op, gmasks, cum, slot_signs) in enumerate(slots):
+            idx = np.minimum(np.searchsorted(cum, u[:, j], side="right"), len(gmasks) - 1)
+            comb[:, after_op] ^= gmasks[idx]
+            signs *= slot_signs[idx]
     if c.n > DENSITY_GUARD:
         for i, (op, tag) in enumerate(zip(c.ops, c.noise_tags)):
             if tag is None or tag.is_noiseless():

@@ -276,6 +276,12 @@ def test_overflowing_costs_raise_guard():
         hybrid_plan(mixed)
 
 
+@pytest.mark.parametrize("p", ["0.1", True, None], ids=["str", "bool", "none"])
+def test_analytic_pattern_refuses_non_numbers(p):
+    with pytest.raises(InvalidArgument, match="p must lie in"):
+        analytic_pattern_gammas("a", p)
+
+
 def test_analytic_pattern_errors():
     with pytest.raises(InvalidArgument):
         analytic_pattern_gammas("d", 0.1)

@@ -120,6 +120,12 @@ def test_circuit_takes_numpy_integer_qubit_counts_as_int():
     assert type(c.n) is int and c == Circuit(2, (GateOp("CNOT", (0, 1)),))
 
 
+@pytest.mark.parametrize("op", ["H 0", ("H", (0,)), None], ids=["text", "tuple", "none"])
+def test_circuit_refuses_ops_that_are_not_gate_ops(op):
+    with pytest.raises(InvalidArgument, match="op must be a GateOp"):
+        Circuit(2, (GateOp("X", (0,)), op))
+
+
 def test_with_noise_and_views():
     c = Circuit(2, (GateOp("H", (0,)), GateOp("CNOT", (0, 1)), GateOp("Z", (1,))))
     spec = NoiseSpec("uncorrelated", 0.1)

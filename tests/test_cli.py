@@ -237,8 +237,8 @@ def test_python_m_blockpec_runs_the_cli(diag_circuit):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"seeds": [0.5]}, {"n_range": [4.9, 5]}],
-    ids=["fractional-seed", "fractional-n"],
+    [{"seeds": [0.5]}, {"n_range": [4.9, 5]}, {"n_range": ["3", "4"]}],
+    ids=["fractional-seed", "fractional-n", "string-n"],
 )
 def test_experiment_refuses_fractional_integers(tmp_path, capsys, overrides):
     cfg = _write_config(tmp_path, **overrides)

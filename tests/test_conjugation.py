@@ -13,7 +13,7 @@ from blockpec.conjugation import (
     numeric_conjugate_local,
 )
 from blockpec.errors import InvalidArgument, NotZClosed
-from blockpec.gates import GATE_KINDS, GateOp, local_z_diag, unitary_of
+from blockpec.gates import GATE_KINDS, GateOp, unitary_of, z_sign_vector
 from blockpec.pauli import PauliZString
 
 
@@ -52,10 +52,10 @@ def test_numeric_match_is_channel_exact():
             u = unitary_of(g)
             for local in range(1, 1 << g.arity):
                 t = numeric_conjugate_local(g, local)
-                m = (u * local_z_diag(local, g.arity)[np.newaxis, :]) @ u.conj().T
+                m = (u * z_sign_vector(local, g.arity)[np.newaxis, :]) @ u.conj().T
                 phase = m[0, 0]
                 assert abs(abs(phase) - 1.0) < 1e-10
-                expected = phase * np.diag(local_z_diag(t, g.arity))
+                expected = phase * np.diag(z_sign_vector(t, g.arity))
                 assert np.abs(m - expected).max() < 1e-10
 
 

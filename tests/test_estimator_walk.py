@@ -26,7 +26,7 @@ from blockpec.noise import NoiseSpec
 from blockpec.simulate import (
     DENSITY_GUARD,
     Observable,
-    _build_slots,
+    _draws,
     _estimator_rng,
     _sample_rows,
     _trajectory_outcomes,
@@ -222,10 +222,10 @@ def test_sampled_rows_match_the_per_sample_draw(name, data):
     c, mode, (lo, hi), route = SAMPLING_CASES[name]
     samples = data.draw(st.integers(lo, hi))
     seed = data.draw(st.integers(0, 2**64 - 1))
-    slots, _ = _build_slots(c, mode)
+    draws, _ = _draws(c, mode, c.n <= DENSITY_GUARD)
     rng = _estimator_rng(seed)
     with mock.patch.object(simulate, "_unique_rows", wraps=_unique_rows) as spy:
-        rows, signs, inverse = _sample_rows(c, slots, samples, rng, c.n <= DENSITY_GUARD)
+        rows, signs, inverse = _sample_rows(c, draws, samples, rng)
     comb, want_signs, want_rng = reference_pec_samples(c, mode, samples, seed)
     assert rows[inverse].tobytes() == comb.tobytes()
     assert signs[inverse].tobytes() == want_signs.tobytes()

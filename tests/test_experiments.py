@@ -97,8 +97,10 @@ def test_config_from_json():
 @pytest.mark.parametrize(
     "field, value",
     [("seeds", [0.5]), ("seeds", [1, 2.25]), ("n_range", [4.9, 5]), ("n_range", [2, 5.5]),
-     ("seeds", [float("inf")]), ("n_range", [2, float("nan")])],
-    ids=["seed-half", "second-seed", "low-bound", "high-bound", "seed-inf", "bound-nan"],
+     ("seeds", [float("inf")]), ("n_range", [2, float("nan")]), ("n_range", ["3", "4"]),
+     ("seeds", [True])],
+    ids=["seed-half", "second-seed", "low-bound", "high-bound", "seed-inf", "bound-nan",
+         "string-bounds", "bool-seed"],
 )
 def test_config_refuses_fractional_integers(field, value):
     d = {"family": "random_bp", "n_range": [2, 3], "noise": {"kind": "uncorrelated", "p": 0.1},
@@ -106,6 +108,21 @@ def test_config_refuses_fractional_integers(field, value):
     d[field] = value
     with pytest.raises(InvalidArgument, match="must be an integer"):
         ExperimentConfig.from_json(json.dumps(d))
+
+
+@pytest.mark.parametrize(
+    "n_range, noise, seeds, match",
+    [((2.5, 4), NoiseSpec("uncorrelated", 0.1), (0,), "must be an integer"),
+     ((2, 3, 4), NoiseSpec("uncorrelated", 0.1), (0,), "two bounds"),
+     ((2, 3), {"kind": "uncorrelated", "p": 0.1}, (0,), "NoiseSpec"),
+     ((2, 3), NoiseSpec("uncorrelated", 0.1), (0, "1"), "must be an integer")],
+    ids=["fractional-bound", "three-bounds", "dict-noise", "string-seed"],
+)
+def test_config_construction_checks_its_fields(n_range, noise, seeds, match):
+    with pytest.raises(InvalidArgument, match=match):
+        ExperimentConfig("random_bp", n_range, noise, seeds)
+    cfg = ExperimentConfig("random_bp", (2.0, 3.0), NoiseSpec("uncorrelated", 0.1), [0])
+    assert cfg.n_range == (2, 3) and cfg.seeds == (0,) and list(cfg.ns) == [2, 3]
 
 
 def test_config_keeps_integral_numbers():

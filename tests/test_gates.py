@@ -13,8 +13,8 @@ from blockpec.gates import (
     GATE_KINDS,
     GateOp,
     expand_composite,
-    local_z_diag,
     unitary_of,
+    z_sign_vector,
 )
 
 
@@ -138,15 +138,15 @@ def test_expand_composite_identities():
     assert expand_composite(plain) == [plain]
 
 
-def test_local_z_diag():
-    assert np.array_equal(local_z_diag(0, 2), [1, 1, 1, 1])
-    assert np.array_equal(local_z_diag(0b01, 2), [1, 1, -1, -1])
-    assert np.array_equal(local_z_diag(0b10, 2), [1, -1, 1, -1])
-    assert np.array_equal(local_z_diag(0b11, 2), [1, -1, -1, 1])
+def test_z_sign_vector():
+    assert np.array_equal(z_sign_vector(0, 2), [1, 1, 1, 1])
+    assert np.array_equal(z_sign_vector(0b01, 2), [1, 1, -1, -1])
+    assert np.array_equal(z_sign_vector(0b10, 2), [1, -1, 1, -1])
+    assert np.array_equal(z_sign_vector(0b11, 2), [1, -1, -1, 1])
     with pytest.raises(InvalidArgument):
-        local_z_diag(4, 2)
+        z_sign_vector(4, 2)
     with pytest.raises(InvalidArgument):
-        local_z_diag(-1, 1)
+        z_sign_vector(-1, 1)
 
 
 def test_gateop_validation():

@@ -73,6 +73,31 @@ def test_z_mixture_validation():
     assert ident.m == 2
 
 
+@pytest.mark.parametrize(
+    "coeffs, match",
+    [([np.nan, 0.0], "finite"), ([np.inf, 0.0], "finite"), ([0.5, -np.inf], "finite"),
+     ([1j, 0.0], "real numbers"), (["a", 0.0], "real numbers")],
+    ids=["nan", "inf", "minus-inf", "complex", "string"],
+)
+def test_z_mixture_refuses_coefficients_it_cannot_represent(coeffs, match):
+    with pytest.raises(InvalidArgument, match=match):
+        ZMixtureChannel((0,), coeffs)
+
+
+@pytest.mark.parametrize(
+    "support", [(-1,), (0, -2), (1.5,), ("0",), (True,)],
+    ids=["negative", "second-negative", "fraction", "string", "bool"],
+)
+def test_z_mixture_refuses_support_qubits_that_are_not_indices(support):
+    # A negative qubit would shift into no mask bit, and 1.5 would be qubit 1.
+    with pytest.raises(InvalidArgument):
+        ZMixtureChannel(support, np.eye(1 << len(support))[0])
+    with pytest.raises(InvalidArgument):
+        make_dephasing(NoiseSpec("uncorrelated", 0.1), support)
+    mix = ZMixtureChannel((np.int64(2),), [1.0, 0.0])
+    assert mix.support == (2,) and type(mix.support[0]) is int
+
+
 def test_identity_reads_a_one_shot_support_once():
     ident = ZMixtureChannel.identity(q for q in (0, 3))
     assert ident.support == (0, 3)

@@ -422,6 +422,15 @@ def test_required_samples():
 
 
 @pytest.mark.parametrize(
+    "args", [(2.0, 0.1, "0.05"), ("2", 0.1, 0.05), (2.0, True, 0.05)],
+    ids=["str-epsilon", "str-gamma", "bool-delta"],
+)
+def test_required_samples_refuses_non_numbers(args):
+    with pytest.raises(InvalidArgument, match="must be a real number"):
+        required_samples(*args)
+
+
+@pytest.mark.parametrize(
     "gamma, delta",
     [(math.nan, 0.1), (math.inf, 0.1), (1.5, math.nan), (1.5, math.inf), (math.nan, math.nan)],
 )
