@@ -18,7 +18,7 @@ import numpy as np
 from .circuits import Circuit
 from .classify import maximal_segments
 from .conjugation import local_images
-from .errors import GuardExceeded, InvalidArgument, NotZClosed, Unsupported
+from .errors import BlockPecError, GuardExceeded, InvalidArgument, NotZClosed, Unsupported
 from .gates import GateOp, is_real
 from .noise import (
     NoiseSpec,
@@ -45,6 +45,8 @@ def layer_distribution(g: GateOp, spec: NoiseSpec | None) -> ZMixtureChannel:
     """Quasi-distribution cancelling the noise of one gate treated as its own
     layer: the exact inverse of the given dephasing on the gate's support."""
     support = tuple(sorted(g.qubits))
+    if spec is not None and not isinstance(spec, NoiseSpec):
+        raise InvalidArgument(f"a noise tag must be None or a NoiseSpec, got {spec!r}")
     if spec is None or spec.is_noiseless():
         return ZMixtureChannel.identity(support)
     return invert_z_mixture(make_dephasing(spec, support))
@@ -125,26 +127,12 @@ def _span_basis(rows) -> list[int]:
     return [basis[p] for p in pivots]
 
 
-def _walsh_engine(
-    c: Circuit, start: int, stop: int, tables: _GateTables, sign: float
-) -> ZMixtureChannel:
-    """The effective noise (sign=+1) of the block c.ops[start:stop], or its
-    inverse (sign=-1), as a Z-mixture computed in the Walsh (eigenvalue)
-    domain.
-
-    Walking the ops backward keeps pushed[q], the mask that Z_q at the
-    current point becomes at the block's end. A noisy op's channel, pushed to
-    the end, has log-eigenvalue sum_u g(u) (-1)^{|mask(u) & T|}, where
-    mask(u) is the XOR of pushed[q] over the qubits q of u. The composed
-    channel's log-eigenvalues are therefore the Walsh transform of the
-    histogram of g over those masks. Every mask lies in the GF(2) span of the
-    pushed rows, so the histogram and both transforms live on the 2^r
-    coordinates of that span. The result is scattered into the 2^m local
-    vector of the m qubits the span's masks touch (r <= m <= the qubits the
-    ops touch); masks outside the span stay exactly 0.
-    """
+def _block_span(c: Circuit, start: int, stop: int, tables: _GateTables) -> tuple:
+    """The per-block bookkeeping of _walsh_engine, raising in circuit order:
+    the local index of each span basis row, the support, and per arity m
+    the span coordinates of the noisy ops' pushed masks (m per op, of its
+    sorted qubits, flat) with each op's Walsh weights."""
     ops = c.ops[start:stop]
-    # Compile in circuit order so that the first offending op raises.
     compiled = []
     for op, tag in zip(ops, c.noise_tags[start:stop]):
         images = tables.images(op)
@@ -152,54 +140,96 @@ def _walsh_engine(
             raise NotZClosed(op, PauliZString.single(c.n, op.qubits[images.index(None)]))
         compiled.append((images, tables.noise(op, tag)[2]))
     pushed = [1 << q for q in range(c.n)]
-    # Per arity m: the pushed masks of each noisy op's sorted qubits (m per
-    # op, flat) and the op's Walsh weights.
-    rows_by_arity: dict[int, tuple[list, list]] = {}
+    noisy: dict[int, tuple[list, list]] = {}
     for op, (images, g_hat) in zip(reversed(ops), reversed(compiled)):
         if g_hat is not None:
-            rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
+            rows, weights = noisy.setdefault(op.arity, ([], []))
             rows.extend(pushed[q] for q in sorted(op.qubits))
             weights.append(g_hat)
         if images:
             before = [pushed[q] for q in op.qubits]
             for q, image in zip(op.qubits, images):
                 pushed[q] = _xor_of(before, image)
-    masks = {mask for rows, _ in rows_by_arity.values() for mask in rows}
+    masks = {mask for rows, _ in noisy.values() for mask in rows}
     basis = _span_basis(masks)
     reach = 0
     for b in basis:
         reach |= b
     support = tuple(q for q in range(reach.bit_length()) if reach >> q & 1)
     if len(support) > _REACH_GUARD_QUBITS:
-        raise GuardExceeded(
-            f"block noise reaches {len(support)} qubits > {_REACH_GUARD_QUBITS}"
-        )
+        raise GuardExceeded(f"block noise reaches {len(support)} qubits > {_REACH_GUARD_QUBITS}")
     # A span element's coordinates are its pivot bits.
     pivots = [b.bit_length() - 1 for b in basis]
     coord = {mask: sum(1 << j for j, p in enumerate(pivots) if mask >> p & 1) for mask in masks}
-    size = 1 << len(basis)
-    hist = np.zeros(size)
-    for m, (rows, weights) in sorted(rows_by_arity.items()):
-        coords = np.fromiter(map(coord.get, rows), np.int64, len(rows)).reshape(-1, m)
-        local = np.arange(1 << m)
-        index = np.zeros((len(coords), 1 << m), dtype=np.int64)
-        for i in range(m):
-            index ^= ((local >> i) & 1)[None, :] * coords[:, i : i + 1]
-        hist += np.bincount(
-            index.ravel(), weights=np.concatenate(weights), minlength=size
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = fwht(np.exp(sign * fwht(hist))) / size
-    if not np.isfinite(coeffs).all():
-        raise GuardExceeded("block coefficients overflow float64")
-    # Span element k (bit j = basis row j) goes to its mask's local index.
-    index = np.zeros(1, dtype=np.int64)
-    for b in basis:
-        local_b = sum(1 << i for i, q in enumerate(support) if b >> q & 1)
-        index = np.concatenate([index, index ^ local_b])
-    out = np.zeros(1 << len(support))
-    out[index] = coeffs
-    return ZMixtureChannel(support, out)
+    for rows, _ in noisy.values():
+        rows[:] = map(coord.get, rows)
+    local = [sum(1 << i for i, q in enumerate(support) if b >> q & 1) for b in basis]
+    return local, support, noisy
+
+
+def _walsh_engine(c: Circuit, runs, tables: _GateTables, sign: float) -> list[ZMixtureChannel]:
+    """The effective noise (sign=+1) of each block c.ops[start:stop] in
+    ``runs``, or its inverse (sign=-1), as Z-mixtures computed in the Walsh
+    (eigenvalue) domain.
+
+    Walking a block's ops backward keeps pushed[q], the mask that Z_q at the
+    current point becomes at the block's end. A noisy op's channel, pushed
+    to the end, has log-eigenvalue sum_u g(u) (-1)^{|mask(u) & T|}, where
+    mask(u) is the XOR of pushed[q] over the qubits q of u. The composed
+    channel's log-eigenvalues are therefore the Walsh transform of the
+    histogram of g over those masks. Every mask lies in the GF(2) span of
+    the pushed rows, so the histogram and both transforms live on the 2^r
+    coordinates of that span. The result is scattered into the 2^m local
+    vector of the m qubits the span's masks touch (r <= m <= the qubits the
+    ops touch); masks outside the span stay exactly 0.
+
+    Bookkeeping runs per block (``_block_span``); the numbers run once per
+    span rank r, as rows of one (blocks, 2^r) histogram and one pair of
+    transforms. Each bin sums the same weights in the same order and each
+    row gets the same butterflies as alone, so no coefficient depends on
+    the batch. A failing block raises once the blocks before it are priced."""
+    spans, failure = [], None
+    for start, stop in runs:
+        try:
+            spans.append(_block_span(c, start, stop, tables))
+        except BlockPecError as exc:
+            failure = exc
+            break
+    out = [None] * len(spans)
+    for rank in {len(local) for local, _, _ in spans}:
+        members = [k for k, span in enumerate(spans) if len(span[0]) == rank]
+        size = 1 << rank
+        hist = np.zeros(len(members) * size)
+        for m in sorted({m for k in members for m in spans[k][2]}):
+            # Row b of the histogram holds block members[b].
+            offsets, coords, weights = [], [], []
+            for b, k in enumerate(members):
+                rows, ws = spans[k][2].get(m, ((), ()))
+                offsets += [b * size] * len(ws)
+                coords += rows
+                weights += ws
+            index = np.repeat(np.array(offsets, dtype=np.int64)[:, None], 1 << m, axis=1)
+            bits = np.arange(1 << m)
+            coords = np.array(coords, dtype=np.int64).reshape(-1, m)
+            for i in range(m):
+                index ^= ((bits >> i) & 1) * coords[:, i : i + 1]
+            hist += np.bincount(index.ravel(), np.concatenate(weights), len(hist))
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = fwht(np.exp(sign * fwht(hist.reshape(-1, size)))) / size
+        if not np.isfinite(coeffs).all():
+            raise GuardExceeded("block coefficients overflow float64")
+        for k, row in zip(members, coeffs):
+            local, support, _ = spans[k]
+            # Span element j (bit i = basis row i) goes to its mask's local index.
+            index = np.zeros(1, dtype=np.int64)
+            for local_b in local:
+                index = np.concatenate([index, index ^ local_b])
+            vec = np.zeros(1 << len(support))
+            vec[index] = row
+            out[k] = ZMixtureChannel(support, vec)
+    if failure is not None:
+        raise failure
+    return out
 
 
 def block_coefficients(c: Circuit) -> ZMixtureChannel:
@@ -213,7 +243,7 @@ def block_coefficients(c: Circuit) -> ZMixtureChannel:
     GuardExceeded when the noise reaches more than 20 qubits or the
     coefficients overflow float64.
     """
-    return _walsh_engine(c, 0, len(c.ops), _GateTables(), -1.0)
+    return _walsh_engine(c, [(0, len(c.ops))], _GateTables(), -1.0)[0]
 
 
 def effective_noise(c: Circuit) -> ZMixtureChannel:
@@ -223,7 +253,7 @@ def effective_noise(c: Circuit) -> ZMixtureChannel:
 
     The same Walsh-domain computation as block_coefficients, with the
     log-eigenvalues taken positive instead of negated."""
-    return _walsh_engine(c, 0, len(c.ops), _GateTables(), 1.0)
+    return _walsh_engine(c, [(0, len(c.ops))], _GateTables(), 1.0)[0]
 
 
 def gamma_std(c: Circuit) -> float:
@@ -292,28 +322,35 @@ def mitigation_plan(c: Circuit, mode: str) -> MitigationPlan:
     _check_mode(mode)
     tables = _GateTables()
     if mode == "std":
-        runs = {}
+        runs = ()
     elif mode == "blk":
-        runs = {0: len(c.ops)}
+        runs = ((0, len(c.ops)),)
     else:
-        runs = dict(maximal_segments(None not in tables.images(op) for op in c.ops))
-    segments: list[PlanSegment] = []
-    total = 1.0
-    i = 0
+        runs = maximal_segments(None not in tables.images(op) for op in c.ops)
+    stops = dict(runs)
+    # Per-gate segments first, blocks as None; a failing op hands the engine
+    # only the blocks before it, so the first failure in circuit order raises.
+    segments, failure, i = [], None, 0
     while i < len(c.ops):
-        if i in runs:
-            start, stop = i, runs[i]
-            coeffs = _walsh_engine(c, start, stop, tables, -1.0)
-            g = coeffs.gamma()
-            segments.append(PlanSegment("block", start, stop, g, coeffs))
-            i = stop
-        else:
+        if i in stops:
+            segments.append(None)
+            i = stops[i]
+            continue
+        try:
             coeffs, g, _ = tables.noise(c.ops[i], c.noise_tags[i])
-            dist = ZMixtureChannel(tuple(sorted(c.ops[i].qubits)), coeffs.copy())
-            segments.append(PlanSegment("per_gate", i, i + 1, g, dist))
-            i += 1
-        total *= g
-    return MitigationPlan(tuple(segments), _finite(total, f"{mode} total gamma"))
+        except BlockPecError as exc:
+            failure, runs = exc, [r for r in runs if r[0] < i]
+            break
+        dist = ZMixtureChannel(tuple(sorted(c.ops[i].qubits)), coeffs.copy())
+        segments.append(PlanSegment("per_gate", i, i + 1, g, dist))
+        i += 1
+    mixes = _walsh_engine(c, runs, tables, -1.0)
+    if failure is not None:
+        raise failure
+    blocks = iter([PlanSegment("block", *run, mix.gamma(), mix) for run, mix in zip(runs, mixes)])
+    segments = tuple(next(blocks) if seg is None else seg for seg in segments)
+    total = math.prod((seg.gamma for seg in segments), start=1.0)
+    return MitigationPlan(segments, _finite(total, f"{mode} total gamma"))
 
 
 def hybrid_plan(c: Circuit) -> MitigationPlan:

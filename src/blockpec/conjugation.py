@@ -48,10 +48,14 @@ def _match(u: np.ndarray, local_mask: int, arity: int) -> int | None:
 def local_images(g: GateOp) -> tuple[int | None, ...]:
     """Local mask (bit b = g.qubits[b]) of the image of each generator
     Z_{g.qubits[a]}, or None for a generator that leaves the Z-string group.
-    Pass-through kinds map every generator to itself."""
+    Pass-through kinds and diagonal unitaries (which commute with every
+    Z-string) map every generator to itself."""
+    identity = tuple(1 << a for a in range(g.arity))
     if g.kind in PASS_THROUGH_KINDS:
-        return tuple(1 << a for a in range(g.arity))
+        return identity
     u = unitary_of(g)
+    if np.count_nonzero(u) == np.count_nonzero(np.diagonal(u)):
+        return identity
     return tuple(_match(u, 1 << a, g.arity) for a in range(g.arity))
 
 

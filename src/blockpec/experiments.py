@@ -264,7 +264,10 @@ def fit_models(points) -> tuple[FitResult, FitResult]:
     """Least-squares fits of a*e^(b*n)+c and a*n^2+b*n+c to (n, gain) points;
     returns (exponential, quadratic). A fit that exhausts its iteration budget
     comes back flagged converged=False with the best parameters found."""
-    pts = [(float(n), float(g)) for n, g in points]
+    pts = list(points)
+    if not all(is_real(n) and is_real(g) for n, g in pts):
+        raise InvalidArgument(f"fit points must be pairs of real numbers, got {pts}")
+    pts = [(float(n), float(g)) for n, g in pts]
     if len(pts) < 4:
         raise InvalidArgument(f"need at least 4 points to fit, got {len(pts)}")
     bad = [p for p in pts if not (math.isfinite(p[0]) and math.isfinite(p[1]))]

@@ -25,18 +25,19 @@ _SINGULAR_TOL = 1e-12
 
 
 def fwht(v: np.ndarray) -> np.ndarray:
-    """Walsh-Hadamard transform with the (-1)^{|a & b|} kernel (natural
-    ordering), unnormalized: applying it twice multiplies by len(v)."""
+    """Walsh-Hadamard transform along the last axis with the (-1)^{|a & b|}
+    kernel (natural ordering), unnormalized: applying it twice multiplies by
+    the axis length. Every row gets the same butterflies as on its own."""
     out = np.array(v, dtype=float, copy=True)
-    size = len(out)
-    if size & (size - 1):
+    size = out.shape[-1] if out.ndim else 0
+    if not out.ndim or size & (size - 1):
         raise InvalidArgument(f"length {size} is not a power of two")
     h = 1
     while h < size:
-        blocks = out.reshape(-1, 2 * h)
-        lo, hi = blocks[:, :h].copy(), blocks[:, h:].copy()
-        blocks[:, :h] = lo + hi
-        blocks[:, h:] = lo - hi
+        blocks = out.reshape(*out.shape[:-1], -1, 2 * h)
+        lo, hi = blocks[..., :h].copy(), blocks[..., h:].copy()
+        blocks[..., :h] = lo + hi
+        blocks[..., h:] = lo - hi
         h *= 2
     return out
 
@@ -195,6 +196,8 @@ def make_dephasing(spec: NoiseSpec, support) -> ZMixtureChannel:
     Uncorrelated: coeff(B) = (1-p)^(m-|B|) p^|B| (independent flips per
     qubit). Correlated: coeff(empty) = 1-p, every other string p/(2^m - 1).
     """
+    if not isinstance(spec, NoiseSpec):
+        raise InvalidArgument(f"need a NoiseSpec, got {spec!r}")
     support = tuple(support)
     m = len(support)
     if m < 1:

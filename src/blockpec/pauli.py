@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgument
+from .gates import integer
 
 
 @dataclass(frozen=True)
@@ -18,10 +19,13 @@ class PauliZString:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidArgument(f"need at least one qubit, got n={self.n}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise InvalidArgument(f"mask {self.mask:#x} out of range for n={self.n}")
+        mask, n = integer(self.mask, "mask"), integer(self.n, "qubit count")
+        if n < 1:
+            raise InvalidArgument(f"need at least one qubit, got n={n}")
+        if not 0 <= mask < (1 << n):
+            raise InvalidArgument(f"mask {mask:#x} out of range for n={n}")
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "n", n)
 
     @classmethod
     def identity(cls, n: int) -> "PauliZString":

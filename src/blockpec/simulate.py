@@ -186,11 +186,14 @@ class Observable:
 
     @classmethod
     def dense(cls, matrix) -> "Observable":
-        m = np.asarray(matrix, dtype=complex)
-        dim = m.shape[0]
-        n = dim.bit_length() - 1
-        if m.shape != (dim, dim) or (1 << n) != dim:
+        try:
+            m = np.asarray(matrix, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgument(f"dense observable entries must be numbers: {exc}") from None
+        dim = m.shape[0] if m.ndim == 2 else 0
+        if m.shape != (dim, dim) or dim < 1 or dim & (dim - 1):
             raise InvalidArgument(f"dense observable needs a 2^n square matrix, got {m.shape}")
+        n = dim.bit_length() - 1
         if not np.isfinite(m).all():
             raise InvalidArgument("dense observable entries must be finite")
         if np.abs(m - m.conj().T).max() > 1e-10:
@@ -222,6 +225,8 @@ class Observable:
 
 
 def _check_obs(c: Circuit, obs: Observable) -> None:
+    if not isinstance(obs, Observable):
+        raise InvalidArgument(f"need an Observable, got {obs!r}")
     if obs.n != c.n:
         raise InvalidArgument(f"observable on {obs.n} qubits, circuit on {c.n}")
 

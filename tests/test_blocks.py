@@ -336,3 +336,9 @@ def test_blk_plan_error_names_the_failing_op_and_qubit(bad, qubit):
     assert exc.value.gate is c.ops[2]
     assert exc.value.zstring == PauliZString.single(4, qubit)
     assert str(exc.value) == f"conjugation of {PauliZString.single(4, qubit)} through {bad} is not a Z-string"
+
+
+@pytest.mark.parametrize("spec", ["x", 0.1, "none"])
+def test_layer_distribution_refuses_a_tag_that_is_not_a_noise_spec(spec):
+    with pytest.raises(InvalidArgument, match="NoiseSpec"):
+        layer_distribution(GateOp("H", (0,)), spec)

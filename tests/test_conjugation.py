@@ -192,6 +192,25 @@ def test_local_images_build_one_unitary_per_gate(monkeypatch):
     assert local_images(GateOp("RBS", (0, 1), 0.4)) == (0b01, 0b10) and calls == []
 
 
+@pytest.mark.parametrize("kind", ["Z", "S", "T", "CZ", "RZ", "RZZ"])
+def test_diagonal_gates_skip_the_match_and_agree_with_it(kind, monkeypatch):
+    """A diagonal unitary maps every generator to itself: local_images says
+    so from its one unitary_of call, without the numeric match, and the
+    numeric match agrees."""
+    arity, takes_angle = GATE_KINDS[kind]
+    angles = (0.0, 0.37, np.pi / 2, np.pi, 2.0 * np.pi, -1.1) if takes_angle else (None,)
+    for angle in angles:
+        g = GateOp(kind, tuple(range(arity))[::-1], angle)
+        calls = []
+        monkeypatch.setattr(conjugation, "unitary_of", lambda g: calls.append(g) or unitary_of(g))
+        monkeypatch.setattr(conjugation, "_match", None)
+        images = local_images(g)
+        assert calls == [g]
+        monkeypatch.undo()
+        assert images == tuple(1 << a for a in range(arity))
+        assert images == tuple(numeric_conjugate_local(g, 1 << a) for a in range(arity))
+
+
 def test_generator_images_refuse_a_qubit_outside_n():
     with pytest.raises(InvalidArgument):
         generator_images(GateOp("CNOT", (0, 3)), 3)

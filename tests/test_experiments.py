@@ -319,3 +319,10 @@ def test_pyramid_gain_grows():
     )
     rows = run_gain_experiment(cfg)
     assert rows[0].gain > 2.0
+
+
+@pytest.mark.parametrize("point", [(1, "a"), ("3", 1.0), (2, None), (True, 1.0)])
+def test_fit_refuses_points_that_are_not_real_numbers(point):
+    good = [(1, 1.0), (2, 2.0), (3, 4.0), (4, 8.0)]
+    with pytest.raises(InvalidArgument, match="real numbers"):
+        fit_models(good + [point])

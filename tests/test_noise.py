@@ -295,3 +295,23 @@ def test_gamma_of():
     assert gamma_of(ZMixtureChannel((0,), np.array([1.125, -0.125]))) == pytest.approx(
         1.25
     )
+
+
+def test_fwht_acts_on_the_last_axis_row_by_row():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(size=(3, 8))
+    out = fwht(rows)
+    for row, got in zip(rows, out):
+        assert got.tobytes() == fwht(row).tobytes()
+    assert fwht(rows[None]).tobytes() == out.tobytes()
+    assert out.shape == (3, 8) and rows.shape == (3, 8)
+    with pytest.raises(InvalidArgument):
+        fwht(np.ones((2, 3)))
+    with pytest.raises(InvalidArgument):
+        fwht(np.float64(1.0))
+
+
+@pytest.mark.parametrize("spec", ["x", 0.1, {"kind": "uncorrelated", "p": 0.1}])
+def test_make_dephasing_refuses_a_spec_that_is_not_a_noise_spec(spec):
+    with pytest.raises(InvalidArgument, match="NoiseSpec"):
+        make_dephasing(spec, (0,))

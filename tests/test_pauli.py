@@ -54,3 +54,17 @@ def test_invalid_domains():
         PauliZString(4, 2)
     with pytest.raises(InvalidArgument):
         PauliZString(0, 2) ^ PauliZString(0, 3)
+
+
+@pytest.mark.parametrize(
+    "mask, n", [(1.5, 2), (1.0, 2), (True, 2), ("1", 2), (1, 2.0), (1, True), (None, 2)]
+)
+def test_mask_and_qubit_count_must_be_integers(mask, n):
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        PauliZString(mask, n)
+
+
+def test_numpy_integers_are_stored_as_ints():
+    s = PauliZString(np.int64(5), np.int32(3))
+    assert (s.mask, s.n) == (5, 3) and type(s.mask) is int and type(s.n) is int
+    assert s.support == (0, 2)

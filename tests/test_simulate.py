@@ -523,3 +523,25 @@ def test_observable_index_checks_keep_their_message(qubit):
         Observable.z(3, qubit)
     with pytest.raises(InvalidArgument, match=r"qubit must be an integer in \[0, 3\), got"):
         Observable.qubit_one_projector(3, qubit)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c: pec_estimate(c, "Z0", "std", 10, 1),
+        lambda c: ideal_expectation(c, "Z0"),
+        lambda c: noisy_expectation(c, None),
+        lambda c: exact_mitigated_expectation(c, PauliZString.single(1, 0), "hybrid"),
+    ],
+    ids=["pec_estimate", "ideal", "noisy", "exact"],
+)
+def test_entry_points_refuse_an_observable_of_another_type(call):
+    c = Circuit(1, (GateOp("H", (0,)),)).with_noise(P01)
+    with pytest.raises(InvalidArgument, match="need an Observable"):
+        call(c)
+
+
+@pytest.mark.parametrize("matrix", ["x", [["a", "b"], ["c", "d"]], 5, np.zeros((0, 0))])
+def test_dense_observable_refuses_what_is_not_a_matrix_of_numbers(matrix):
+    with pytest.raises(InvalidArgument):
+        Observable.dense(matrix)

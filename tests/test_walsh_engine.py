@@ -24,6 +24,7 @@ from blockpec.blocks import (
     gamma_blk,
     gamma_std,
     hybrid_plan,
+    layer_distribution,
     mitigation_plan,
 )
 from blockpec.circuits import Circuit
@@ -33,9 +34,9 @@ from blockpec.classify import (
     is_s1_bias_preserving,
     pauli_z_compatible,
 )
-from blockpec.errors import BlockPecError, InvalidArgument
+from blockpec.errors import BlockPecError, GuardExceeded, InvalidArgument, UnsupportedKind
 from blockpec.gates import GATE_KINDS, GateOp, expand_composite
-from blockpec.generators import gen_rbs_pyramid, gen_swap_network
+from blockpec.generators import gen_option_payoff, gen_rbs_pyramid, gen_swap_network
 from blockpec.noise import NoiseSpec
 
 P_LOW = NoiseSpec("uncorrelated", 0.001)
@@ -193,6 +194,167 @@ def test_hybrid_blocks_match_oracle():
             fast = dense(seg.coeffs, c.n)
             assert np.abs(fast - slow).max() <= 1e-12
             assert np.all(fast[slow == 0.0] == 0.0)
+
+
+def _segment_by_segment(c: Circuit):
+    """The hybrid plan's corrections one segment at a time in circuit order:
+    block_coefficients of each block's subcircuit, layer_distribution of
+    each op in between. Raises what the first failing segment raises."""
+    stops = dict(classify_circuit(c).segments)
+    out, i = [], 0
+    while i < len(c.ops):
+        if i in stops:
+            out.append(block_coefficients(c.subcircuit(i, stops[i])))
+            i = stops[i]
+        else:
+            out.append(layer_distribution(c.ops[i], c.noise_tags[i]))
+            i += 1
+    return out
+
+
+def assert_plan_is_segment_by_segment(c: Circuit) -> None:
+    """Every hybrid block segment equals, bytewise, its block on its own (the
+    batch over the plan's blocks changes no bit), and a failing plan raises
+    the first failure in circuit order."""
+    try:
+        want = _segment_by_segment(c)
+    except BlockPecError as exc:
+        with pytest.raises(type(exc)) as info:
+            mitigation_plan(c, "hybrid")
+        assert str(info.value) == str(exc)
+        return
+    if not math.isfinite(math.prod(mix.gamma() for mix in want)):
+        with pytest.raises(GuardExceeded, match="total gamma"):
+            mitigation_plan(c, "hybrid")
+        return
+    segments = mitigation_plan(c, "hybrid").segments
+    assert len(segments) == len(want)
+    for seg, mix in zip(segments, want):
+        assert seg.coeffs.support == mix.support
+        assert seg.coeffs.coeffs.tobytes() == mix.coeffs.tobytes()
+        assert seg.gamma.hex() == mix.gamma().hex()
+
+
+def _noise_of(kind: str, p: float) -> NoiseSpec | None:
+    if kind == "impure":
+        return NoiseSpec("impure", p, 3.0)
+    return None if kind == "untagged" else NoiseSpec(kind, p)
+
+
+@st.composite
+def multi_block_circuits(draw):
+    """Runs of Z-closed one- and two-qubit gates split by H (and sometimes
+    TOFFOLI) separators, each run tagged as a whole or per op, so one plan
+    holds blocks of several span ranks: rank 0 (noiseless runs) up to the
+    qubits a run touches. A rare impure tag or high p makes some segment
+    fail."""
+    n = draw(st.integers(1, 5))
+    kinds = [k for k in COMPATIBLE_KINDS if GATE_KINDS[k][0] <= n]
+    tag_kinds = st.sampled_from(("uncorrelated", "correlated", "none", "untagged", "impure"))
+    ops, tags = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        run_tag = draw(tag_kinds)
+        p = draw(st.sampled_from((0.001, 0.05, 0.3, 0.45)))
+        for _ in range(draw(st.integers(0, 6))):
+            kind = draw(st.sampled_from(kinds))
+            arity, takes_angle = GATE_KINDS[kind]
+            qubits = tuple(draw(st.permutations(range(n)))[:arity])
+            angle = draw(st.floats(0.0, 2.0 * math.pi)) if takes_angle else None
+            ops.append(GateOp(kind, qubits, angle))
+            tag = run_tag if draw(st.booleans()) else draw(tag_kinds)
+            rare = tag != "impure" or draw(st.integers(0, 9)) == 0
+            tags.append(_noise_of(tag, p) if rare else None)
+        if n >= 3 and draw(st.booleans()):
+            ops.append(GateOp("TOFFOLI", (0, 1, 2)))
+        else:
+            ops.append(GateOp("H", (draw(st.integers(0, n - 1)),)))
+        tags.append(_noise_of(draw(tag_kinds), 0.01) if draw(st.integers(0, 9)) == 0 else None)
+    return Circuit(n, tuple(ops), tuple(tags))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(multi_block_circuits())
+def test_batched_blocks_equal_each_block_alone(c):
+    assert_plan_is_segment_by_segment(c)
+
+
+def test_batched_blocks_cover_ranks_zero_to_three():
+    ops = (
+        GateOp("CNOT", (0, 1)),  # noiseless: rank 0
+        GateOp("H", (0,)),
+        GateOp("RZ", (2,), 0.3),  # rank 1
+        GateOp("H", (2,)),
+        GateOp("RZZ", (0, 1), 0.7),  # rank 2
+        GateOp("H", (1,)),
+        GateOp("CNOT", (0, 1)),  # rank 3, arities 1 and 2
+        GateOp("CNOT", (1, 2)),
+        GateOp("T", (2,)),
+        GateOp("H", (0,)),
+        GateOp("Z", (3,)),  # rank 1 again, on another qubit
+    )
+    u, corr = NoiseSpec("uncorrelated", 0.05), NoiseSpec("correlated", 0.1)
+    tags = (None, u, u, corr, corr, None, u, corr, u, None, corr)
+    c = Circuit(4, ops, tags)
+    assert_plan_is_segment_by_segment(c)
+    blocks = [seg.coeffs for seg in hybrid_plan(c).segments if seg.kind == "block"]
+    assert [mix.support for mix in blocks] == [(), (2,), (0, 1), (0, 1, 2), (3,)]
+    # A rank-r span holds 2^r strings, none of whose coefficients vanishes here.
+    assert [np.count_nonzero(mix.coeffs) for mix in blocks] == [1, 2, 4, 8, 2]
+
+
+@pytest.mark.parametrize("n", range(15, 19))
+def test_option_payoff_blocks_equal_each_block_alone(n):
+    for noise in (NoiseSpec("uncorrelated", 0.01), NoiseSpec("correlated", 0.05)):
+        assert_plan_is_segment_by_segment(gen_option_payoff(n, seed=n).with_noise(noise))
+
+
+_OVERFLOW = NoiseSpec("uncorrelated", 0.4)
+_IMPURE = NoiseSpec("impure", 0.05, 3.0)
+
+
+@pytest.mark.parametrize(
+    "parts, error, match",
+    [
+        # An overflowing block, then an impure per-gate op.
+        ([("CNOT", 401, _OVERFLOW), ("H", 1, _IMPURE)], GuardExceeded, "overflow"),
+        # An impure per-gate op, then an overflowing block.
+        ([("H", 1, _IMPURE), ("CNOT", 401, _OVERFLOW)], UnsupportedKind, "impure"),
+        # An overflowing block, then a block holding an impure op.
+        (
+            [("CNOT", 401, _OVERFLOW), ("H", 1, None), ("RZ", 1, _IMPURE)],
+            GuardExceeded,
+            "overflow",
+        ),
+        # A block holding an impure op, then an overflowing block.
+        (
+            [("RZ", 1, _IMPURE), ("H", 1, None), ("CNOT", 401, _OVERFLOW)],
+            UnsupportedKind,
+            "impure",
+        ),
+    ],
+)
+def test_the_first_failing_segment_decides(parts, error, match):
+    ops, tags = [], []
+    for kind, count, tag in parts:
+        qubits = (0, 1) if kind == "CNOT" else (0,)
+        op = GateOp(kind, qubits, 0.2 if kind == "RZ" else None)
+        ops += [op] * count
+        tags += [tag] * count
+    c = Circuit(2, tuple(ops), tuple(tags))
+    with pytest.raises(error, match=match):
+        mitigation_plan(c, "hybrid")
+    assert_plan_is_segment_by_segment(c)
+
+
+def test_an_overflowing_block_precedes_a_later_reach_guard():
+    wide = tuple(GateOp("CNOT", (q, q + 1)) for q in range(21))
+    ops = (GateOp("CNOT", (0, 1)),) * 401 + (GateOp("H", (0,)),) + wide
+    tags = (_OVERFLOW,) * 401 + (None,) + (NoiseSpec("uncorrelated", 0.01),) * 21
+    c = Circuit(22, ops, tags)
+    with pytest.raises(GuardExceeded, match="overflow"):
+        mitigation_plan(c, "hybrid")
+    with pytest.raises(GuardExceeded, match="reaches 22 qubits"):
+        mitigation_plan(c.subcircuit(401, len(ops)), "hybrid")
 
 
 def _every_kind():
