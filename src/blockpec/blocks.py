@@ -140,31 +140,33 @@ def _block_span(c: Circuit, start: int, stop: int, tables: _GateTables) -> tuple
             raise NotZClosed(op, PauliZString.single(c.n, op.qubits[images.index(None)]))
         compiled.append((images, tables.noise(op, tag)[2]))
     pushed = [1 << q for q in range(c.n)]
-    noisy: dict[int, tuple[list, list]] = {}
+    rows_by_arity: dict[int, tuple[list, list]] = {}
     for op, (images, g_hat) in zip(reversed(ops), reversed(compiled)):
         if g_hat is not None:
-            rows, weights = noisy.setdefault(op.arity, ([], []))
+            rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
             rows.extend(pushed[q] for q in sorted(op.qubits))
             weights.append(g_hat)
         if images:
             before = [pushed[q] for q in op.qubits]
             for q, image in zip(op.qubits, images):
                 pushed[q] = _xor_of(before, image)
-    masks = {mask for rows, _ in noisy.values() for mask in rows}
+    masks = {mask for rows, _ in rows_by_arity.values() for mask in rows}
     basis = _span_basis(masks)
     reach = 0
     for b in basis:
         reach |= b
     support = tuple(q for q in range(reach.bit_length()) if reach >> q & 1)
     if len(support) > _REACH_GUARD_QUBITS:
-        raise GuardExceeded(f"block noise reaches {len(support)} qubits > {_REACH_GUARD_QUBITS}")
+        raise GuardExceeded(
+            f"block noise reaches {len(support)} qubits > {_REACH_GUARD_QUBITS}"
+        )
     # A span element's coordinates are its pivot bits.
     pivots = [b.bit_length() - 1 for b in basis]
     coord = {mask: sum(1 << j for j, p in enumerate(pivots) if mask >> p & 1) for mask in masks}
-    for rows, _ in noisy.values():
+    for rows, _ in rows_by_arity.values():
         rows[:] = map(coord.get, rows)
     local = [sum(1 << i for i, q in enumerate(support) if b >> q & 1) for b in basis]
-    return local, support, noisy
+    return local, support, rows_by_arity
 
 
 def _walsh_engine(c: Circuit, runs, tables: _GateTables, sign: float) -> list[ZMixtureChannel]:
