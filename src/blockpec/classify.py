@@ -40,29 +40,18 @@ def _bias_preserving(u: np.ndarray) -> bool:
 
 
 def is_s1_bias_preserving(g: GateOp) -> bool:
-    """Bias preservation on the single-excitation subspace of a 2-qubit gate.
-
-    Checks (1) the unitary maps span{|01>, |10>} into itself and (2) for each
-    phase-flip generator D in {Z1, Z2, Z1Z2}, the D' solved on that 2x2 block
-    (D' = R D_blk R^-1) is unitary.
-    """
+    """Bias preservation on the single-excitation subspace of a 2-qubit gate:
+    the unitary maps span{|01>, |10>} into itself. Its 2x2 block there is
+    then unitary, and so is the D' = B D B^-1 it gives each phase-flip
+    generator D in {Z1, Z2, Z1Z2}."""
     if g.arity != 2:
         raise UnsupportedGate(f"S1 classification needs a 2-qubit gate, got {g}")
     return _s1_bias_preserving(unitary_of(g))
 
 
 def _s1_bias_preserving(u: np.ndarray) -> bool:
-    inside = [1, 2]  # |01>, |10>
-    outside = [0, 3]
-    if np.abs(u[np.ix_(outside, inside)]).max() > _TOL:
-        return False
-    block = u[np.ix_(inside, inside)]
-    # Z1, Z2, Z1Z2 restricted to (|01>, |10>).
-    for d_blk in (np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]), -np.eye(2)):
-        d_prime = block @ d_blk @ np.linalg.inv(block)
-        if np.abs(d_prime @ d_prime.conj().T - np.eye(2)).max() > _TOL:
-            return False
-    return True
+    # No weight from |01>, |10> into |00>, |11>.
+    return bool(np.abs(u[np.ix_([0, 3], [1, 2])]).max() <= _TOL)
 
 
 def pauli_z_compatible(g: GateOp) -> bool:

@@ -265,7 +265,11 @@ def fit_models(points) -> tuple[FitResult, FitResult]:
     returns (exponential, quadratic). A fit that exhausts its iteration budget
     comes back flagged converged=False with the best parameters found."""
     pts = list(points)
-    if not all(is_real(n) and is_real(g) for n, g in pts):
+    try:
+        pairs_ok = all(is_real(n) and is_real(g) for n, g in pts)
+    except (TypeError, ValueError):  # a point that does not unpack into two
+        pairs_ok = False
+    if not pairs_ok:
         raise InvalidArgument(f"fit points must be pairs of real numbers, got {pts}")
     pts = [(float(n), float(g)) for n, g in pts]
     if len(pts) < 4:

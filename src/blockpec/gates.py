@@ -60,6 +60,14 @@ def integer(value, what: str) -> int:
     return int(value)
 
 
+def natural(value, what: str) -> int:
+    """``integer(value, what)``, refusing a negative value with InvalidArgument."""
+    value = integer(value, what)
+    if value < 0:
+        raise InvalidArgument(f"{what} must be >= 0, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class GateOp:
     kind: str

@@ -35,7 +35,8 @@ def _rng(seed: int, family: str) -> np.random.Generator:
 
 def rbs_sequence(j: int, k: int, theta: float) -> list[GateOp]:
     """Three-gate compiled form of a beam-splitter interaction on (j, k):
-    CNOT, then an X-controlled Z rotation, then CNOT again."""
+    CNOT, then an X-controlled Z rotation, then CNOT again. Up to a global
+    phase it is exp(i(theta/4)(Y(x)Y + Z(x)Z)), which mixes |00>, |11> too."""
     return [
         GateOp("CNOT", (j, k)),
         GateOp("XCZ", (j, k), theta),

@@ -231,18 +231,6 @@ def invert_z_mixture(ch: ZMixtureChannel) -> ZMixtureChannel:
     return ZMixtureChannel(ch.support, inv_coeffs)
 
 
-def taylor_inverse(ch: ZMixtureChannel) -> ZMixtureChannel:
-    """Order-1 truncated inverse of (1-p)I + p*A: returns (1+p)I - p*A.
-
-    Cheaper but inexact: composing with the original channel leaves O(p^2)
-    eigenvalue error.
-    """
-    coeffs = -np.array(ch.coeffs, copy=True)
-    p = 1.0 + coeffs[0]  # p = 1 - coeff(identity)
-    coeffs[0] = 1.0 + p
-    return ZMixtureChannel(ch.support, coeffs)
-
-
 def make_impure(p: float, q: float) -> np.ndarray:
     """Forward weights over (I, X, Y, Z) of a dephasing-dominated channel
     with a tunable depolarizing admixture: 1-p, r, r, p(3q+1)/(3(q+1)) with

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgument
-from .gates import integer
+from .gates import integer, natural
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,13 @@ class PauliZString:
 
     @classmethod
     def single(cls, n: int, qubit: int) -> "PauliZString":
-        return cls(1 << qubit, n)
+        return cls(1 << natural(qubit, "qubit"), n)
 
     @classmethod
     def from_qubits(cls, n: int, qubits) -> "PauliZString":
         mask = 0
         for q in qubits:
-            mask |= 1 << q
+            mask |= 1 << natural(q, "qubit")
         return cls(mask, n)
 
     def compose(self, other: "PauliZString") -> "PauliZString":

@@ -26,7 +26,7 @@ from .errors import (
     InvalidArgument,
     InvalidSamples,
 )
-from .gates import integer, is_integer, is_real, unitary_of, z_sign_vector
+from .gates import integer, is_integer, is_real, natural, unitary_of, z_sign_vector
 from .kernels import (
     gather,
     mixture_step,
@@ -170,6 +170,7 @@ class Observable:
 
     @classmethod
     def projector(cls, n: int, basis_states) -> "Observable":
+        n = natural(n, "qubit count")
         states = list(basis_states)
         for b in states:
             _check_index("basis state", b, 1 << n)
@@ -180,6 +181,7 @@ class Observable:
     @classmethod
     def qubit_one_projector(cls, n: int, qubit: int) -> "Observable":
         """Projector onto basis states where ``qubit`` reads 1."""
+        n = natural(n, "qubit count")
         _check_index("qubit", qubit, n)
         idx = np.arange(1 << n)
         return cls("diagonal_projector", n, ((idx >> (n - 1 - qubit)) & 1).astype(bool))

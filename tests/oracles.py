@@ -6,8 +6,15 @@ computation.
 op and XOR-convolving it with that op's own distribution: O(d * 2^n * 2^m)
 work, simple enough to trust. ``naive_block_coefficients`` enumerates every
 tuple of per-layer controls instead. All three return full-support mixtures;
-``dense`` scatters the engine's local mixtures to the same 2^n layout. ``all_strings_z_compatible`` checks Z-closure
-on every local Z-string of a gate instead of on its generators only.
+``dense`` scatters the engine's local mixtures to the same 2^n layout.
+
+``match_local_string`` is the whole-string matcher: it compares
+U Z_s U^dag against every local Z-string up to a unit phase, sharing no
+code with the library's per-generator matcher. ``match_z_string`` and
+``match_generator_images`` lift it to n-qubit strings with the pass-through
+rule; the forward and naive routes push masks with them.
+``all_strings_z_compatible`` checks Z-closure on every local Z-string of a
+gate instead of on its generators only.
 ``xcz_kron_unitary`` builds the XCZ matrix from two Kronecker products.
 ``reference_pec_samples`` is the estimator's per-sample draw: every sample's
 row of per-op masks built in a samples x ops array, and its sign product.
@@ -24,6 +31,8 @@ weighted ``PAULI_1Q`` conjugations, each contracted with ``np.tensordot``.
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from blockpec.blocks import (
@@ -32,7 +41,7 @@ from blockpec.blocks import (
     layer_distribution,
 )
 from blockpec.circuits import Circuit
-from blockpec.conjugation import conjugate_z_string, generator_images
+from blockpec.conjugation import PASS_THROUGH_KINDS
 from blockpec.errors import GuardExceeded, NotZClosed
 from blockpec.gates import GateOp
 from blockpec.gates import _rz, unitary_of
@@ -78,10 +87,50 @@ def dense(mix: ZMixtureChannel, n: int) -> np.ndarray:
     return out
 
 
+def _local_z(local_mask: int, arity: int) -> np.ndarray:
+    """Z_t on a gate's local qubits, local bit a on qubits[a] (the most
+    significant first), built as a Kronecker product."""
+    return reduce(np.kron, [PAULI_1Q["Z" if local_mask >> a & 1 else "I"] for a in range(arity)])
+
+
+def match_local_string(g: GateOp, local_mask: int) -> int:
+    """The local mask t with U Z_local U^dag = (unit phase) Z_t, found by
+    trying every t; raises NotZClosed when none matches. No pass-through."""
+    u = unitary_of(g)
+    image = u @ _local_z(local_mask, g.arity) @ u.conj().T
+    for t in range(1 << g.arity):
+        z_t = _local_z(t, g.arity)
+        phase = np.trace(z_t @ image) / (1 << g.arity)
+        if abs(abs(phase) - 1.0) < 1e-10 and np.abs(image - phase * z_t).max() < 1e-10:
+            return t
+    raise NotZClosed(g, local_mask)
+
+
+def match_z_string(g: GateOp, s: PauliZString) -> PauliZString:
+    """``s`` commuted leftward through ``g`` by the whole-string matcher:
+    spectators stay, pass-through kinds fix every string."""
+    local = sum(1 << a for a, q in enumerate(g.qubits) if s.mask >> q & 1)
+    if local == 0 or g.kind in PASS_THROUGH_KINDS:
+        return s
+    try:
+        t = match_local_string(g, local)
+    except NotZClosed:
+        raise NotZClosed(g, s) from None
+    mask = s.mask & ~_support_mask(g)
+    mask |= sum(1 << q for a, q in enumerate(g.qubits) if t >> a & 1)
+    return PauliZString(mask, s.n)
+
+
+def match_generator_images(g: GateOp, n: int) -> dict[int, int]:
+    """Global image mask of each Z_q, q in g.qubits, by the whole-string
+    matcher."""
+    return {q: match_z_string(g, PauliZString.single(n, q)).mask for q in g.qubits}
+
+
 def _op_permutation(op: GateOp, n: int, masks: np.ndarray) -> np.ndarray | None:
     """Image of every mask under conjugation through ``op``; None if the map
     is the identity."""
-    imgs = generator_images(op, n)
+    imgs = match_generator_images(op, n)
     if all(imgs[q] == 1 << q for q in op.qubits):
         return None
     perm = masks & ~_support_mask(op)
@@ -138,7 +187,7 @@ def naive_block_coefficients(c: Circuit) -> ZMixtureChannel:
         raise GuardExceeded(
             f"naive enumeration refused for n*d = {c.n * d} > {_NAIVE_GUARD}"
         )
-    op_images = [generator_images(op, c.n) for op in c.ops]
+    op_images = [match_generator_images(op, c.n) for op in c.ops]
 
     def push(mask: int, start: int) -> int:
         for op, imgs in zip(c.ops[start:], op_images[start:]):
@@ -169,7 +218,7 @@ def all_strings_z_compatible(g: GateOp) -> bool:
             n, (q for a, q in enumerate(g.qubits) if local >> a & 1)
         )
         try:
-            conjugate_z_string(g, s)
+            match_z_string(g, s)
         except NotZClosed:
             return False
     return True

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from conftest import EXACT_KINDS
+from oracles import all_strings_z_compatible, match_local_string, match_z_string
 
 from blockpec import conjugation
+from blockpec.classify import pauli_z_compatible
 from blockpec.conjugation import (
     PASS_THROUGH_KINDS,
     conjugate_z_string,
     generator_images,
     local_images,
-    numeric_conjugate_local,
 )
 from blockpec.errors import InvalidArgument, NotZClosed
 from blockpec.gates import GATE_KINDS, GateOp, unitary_of, z_sign_vector
@@ -51,7 +54,7 @@ def test_numeric_match_is_channel_exact():
             g = _sample_op(kind, rng)
             u = unitary_of(g)
             for local in range(1, 1 << g.arity):
-                t = numeric_conjugate_local(g, local)
+                t = conjugate_z_string(g, PauliZString(local, g.arity)).mask
                 m = (u * z_sign_vector(local, g.arity)[np.newaxis, :]) @ u.conj().T
                 phase = m[0, 0]
                 assert abs(abs(phase) - 1.0) < 1e-10
@@ -73,26 +76,26 @@ def test_involution_through_self_inverse_gates():
 def test_xcz_numeric_closure():
     g = GateOp("XCZ", (0, 1), 0.8)
     # Z on the rotation qubit (local bit 1) commutes with both branches.
-    assert numeric_conjugate_local(g, 0b10) == 0b10
+    assert match_local_string(g, 0b10) == 0b10
     # Z on the X-control qubit swaps the branches: not a Z-string for theta != 0.
     with pytest.raises(NotZClosed):
-        numeric_conjugate_local(g, 0b01)
+        match_local_string(g, 0b01)
     with pytest.raises(NotZClosed):
-        numeric_conjugate_local(g, 0b11)
+        match_local_string(g, 0b11)
     # At theta = 0 the gate is the identity, so every string is fixed.
     trivial = GateOp("XCZ", (0, 1), 0.0)
     for local in range(4):
-        assert numeric_conjugate_local(trivial, local) == local
+        assert match_local_string(trivial, local) == local
 
 
 def test_rbs_numeric_closure():
     g = GateOp("RBS", (0, 1), 0.6)
     # The double string is block-constant on the gate's invariant sectors.
-    assert numeric_conjugate_local(g, 0b11) == 0b11
+    assert match_local_string(g, 0b11) == 0b11
     with pytest.raises(NotZClosed):
-        numeric_conjugate_local(g, 0b01)
+        match_local_string(g, 0b01)
     with pytest.raises(NotZClosed):
-        numeric_conjugate_local(g, 0b10)
+        match_local_string(g, 0b10)
 
 
 def test_pass_through_rule():
@@ -116,7 +119,7 @@ def test_toffoli_rules():
     with pytest.raises(NotZClosed):
         conjugate_z_string(g, PauliZString.single(n, 2))
     with pytest.raises(NotZClosed):
-        numeric_conjugate_local(g, 0b100)
+        match_local_string(g, 0b100)
 
 
 def test_not_z_closed_carries_context():
@@ -146,14 +149,15 @@ def test_generator_images_are_xor_linear():
             g = GateOp(kind, qubits, angle)
             images = generator_images(g, n)
             assert set(images) == set(qubits)
-            combined = conjugate_z_string(g, PauliZString.from_qubits(n, qubits))
+            combined = match_z_string(g, PauliZString.from_qubits(n, qubits))
             assert combined.mask == images[qubits[0]] ^ images[qubits[1]]
 
 
 @pytest.mark.parametrize("kind", sorted(GATE_KINDS))
 def test_local_images_equal_the_reference_route(kind):
-    """local_images agrees with generator_images on every generator, and is
-    None exactly where the reference route raises NotZClosed."""
+    """local_images agrees with the whole-string matcher on every generator,
+    and is None exactly where the matcher raises NotZClosed; generator_images
+    reads the same images."""
     arity, takes_angle = GATE_KINDS[kind]
     rng = np.random.default_rng(31)
     special = [0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2.0 * np.pi]
@@ -166,7 +170,7 @@ def test_local_images_equal_the_reference_route(kind):
         assert len(images) == arity
         for a, q in enumerate(qubits):
             try:
-                want = conjugate_z_string(g, PauliZString.single(n, q)).mask
+                want = match_z_string(g, PauliZString.single(n, q)).mask
             except NotZClosed:
                 assert images[a] is None, (g, q)
                 continue
@@ -196,7 +200,7 @@ def test_local_images_build_one_unitary_per_gate(monkeypatch):
 def test_diagonal_gates_skip_the_match_and_agree_with_it(kind, monkeypatch):
     """A diagonal unitary maps every generator to itself: local_images says
     so from its one unitary_of call, without the numeric match, and the
-    numeric match agrees."""
+    whole-string matcher agrees."""
     arity, takes_angle = GATE_KINDS[kind]
     angles = (0.0, 0.37, np.pi / 2, np.pi, 2.0 * np.pi, -1.1) if takes_angle else (None,)
     for angle in angles:
@@ -208,9 +212,46 @@ def test_diagonal_gates_skip_the_match_and_agree_with_it(kind, monkeypatch):
         assert calls == [g]
         monkeypatch.undo()
         assert images == tuple(1 << a for a in range(arity))
-        assert images == tuple(numeric_conjugate_local(g, 1 << a) for a in range(arity))
+        assert images == tuple(match_local_string(g, 1 << a) for a in range(arity))
 
 
 def test_generator_images_refuse_a_qubit_outside_n():
     with pytest.raises(InvalidArgument):
         generator_images(GateOp("CNOT", (0, 3)), 3)
+
+
+_DIFF_ANGLES = [0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2.0 * np.pi, -np.pi] + list(
+    np.random.default_rng(47).uniform(0.0, 2.0 * np.pi, 20)
+)
+_DIFF_CASES = [
+    (kind, angle)
+    for kind, (_, takes_angle) in sorted(GATE_KINDS.items())
+    for angle in (_DIFF_ANGLES if takes_angle else [None])
+]
+
+
+@pytest.mark.parametrize("kind, angle", _DIFF_CASES)
+def test_library_routes_equal_the_whole_string_matcher(kind, angle):
+    """On 4 qubits, at every ordered placement: conjugate_z_string on every
+    mask, generator_images and pauli_z_compatible equal the whole-string
+    matcher, and raise NotZClosed exactly where it refuses."""
+    n = 4
+    for qubits in itertools.permutations(range(n), GATE_KINDS[kind][0]):
+        g = GateOp(kind, qubits, angle)
+        for mask in range(1 << n):
+            s = PauliZString(mask, n)
+            try:
+                want = match_z_string(g, s)
+            except NotZClosed:
+                with pytest.raises(NotZClosed):
+                    conjugate_z_string(g, s)
+                continue
+            assert conjugate_z_string(g, s) == want, (g, mask)
+        try:
+            want_images = {q: match_z_string(g, PauliZString.single(n, q)).mask for q in qubits}
+        except NotZClosed:
+            with pytest.raises(NotZClosed):
+                generator_images(g, n)
+        else:
+            assert generator_images(g, n) == want_images, g
+        assert pauli_z_compatible(g) == all_strings_z_compatible(g), g

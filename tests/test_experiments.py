@@ -326,3 +326,9 @@ def test_fit_refuses_points_that_are_not_real_numbers(point):
     good = [(1, 1.0), (2, 2.0), (3, 4.0), (4, 8.0)]
     with pytest.raises(InvalidArgument, match="real numbers"):
         fit_models(good + [point])
+
+
+@pytest.mark.parametrize("points", [[(1,)] * 4, [1, 2, 3, 4]], ids=["one-tuples", "bare-ints"])
+def test_fit_refuses_points_that_are_not_pairs(points):
+    with pytest.raises(InvalidArgument, match="pairs of real numbers"):
+        fit_models(points)

@@ -89,6 +89,26 @@ def test_rbs_sequence_structure():
     assert seq[1].angle == 0.4
 
 
+def test_rbs_sequence_is_a_yy_plus_zz_rotation():
+    """The circuit-order product of rbs_sequence(j, k, theta) is
+    e^{i phi} exp(i (theta/4) (Y(x)Y + Z(x)Z)), not the RBS gate. Y(x)Y and
+    Z(x)Z commute and square to I, so the exponential is the product of
+    cos(a) I + i sin(a) P over P in {Y(x)Y, Z(x)Z}, a = theta/4."""
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1.0 + 0j, -1.0])
+    for theta in np.random.default_rng(5).uniform(-2.0 * np.pi, 2.0 * np.pi, 50):
+        u = np.eye(4, dtype=complex)
+        for g in rbs_sequence(0, 1, theta):
+            u = unitary_of(g) @ u
+        a = theta / 4
+        want = np.eye(4, dtype=complex)
+        for p in (np.kron(y, y), np.kron(z, z)):
+            want = want @ (math.cos(a) * np.eye(4) + 1j * math.sin(a) * p)
+        phase = np.trace(want.conj().T @ u) / 4
+        assert abs(abs(phase) - 1.0) < 1e-12
+        assert np.abs(u - phase * want).max() < 1e-12, theta
+
+
 def test_random_bp_structure():
     for n in (2, 4, 7):
         c = gen_random_bp(n, seed=11)

@@ -12,7 +12,6 @@ from blockpec.noise import (
     invert_z_mixture,
     make_dephasing,
     make_impure,
-    taylor_inverse,
 )
 
 
@@ -205,23 +204,6 @@ def test_exact_inverse_correlated_closed_form():
 def test_singular_channel_rejected():
     with pytest.raises(SingularChannel):
         invert_z_mixture(ZMixtureChannel((0,), np.array([0.5, 0.5])))
-
-
-def test_taylor_inverse():
-    ch = make_dephasing(NoiseSpec("uncorrelated", 0.1), (0,))
-    approx = taylor_inverse(ch)
-    assert np.allclose(approx.coeffs, [1.1, -0.1], atol=1e-15)
-    assert approx.gamma() == pytest.approx(1.2)
-    composed = ch.compose(approx)
-    # Residual eigenvalue error is O(p^2): 0.8 * 1.2 = 0.96 on the flip sector.
-    assert composed.eigenvalues()[1] == pytest.approx(0.96)
-    assert abs(composed.eigenvalues()[1] - 1.0) == pytest.approx(0.04)
-
-
-def test_taylor_gamma_never_exceeds_exact():
-    for p in np.linspace(0.01, 0.45, 23):
-        ch = make_dephasing(NoiseSpec("uncorrelated", float(p)), (0,))
-        assert taylor_inverse(ch).gamma() <= invert_z_mixture(ch).gamma() + 1e-12
 
 
 def test_compose_is_eigenvalue_product():

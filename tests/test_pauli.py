@@ -68,3 +68,17 @@ def test_numpy_integers_are_stored_as_ints():
     s = PauliZString(np.int64(5), np.int32(3))
     assert (s.mask, s.n) == (5, 3) and type(s.mask) is int and type(s.n) is int
     assert s.support == (0, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PauliZString.single(2, 0.5),
+        lambda: PauliZString.from_qubits(2, [0.5]),
+        lambda: PauliZString.single(2, -1),
+    ],
+    ids=["single-float", "from_qubits-float", "single-negative"],
+)
+def test_qubit_indices_must_be_non_negative_integers(build):
+    with pytest.raises(InvalidArgument, match="qubit must be"):
+        build()

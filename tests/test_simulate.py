@@ -545,3 +545,13 @@ def test_entry_points_refuse_an_observable_of_another_type(call):
 def test_dense_observable_refuses_what_is_not_a_matrix_of_numbers(matrix):
     with pytest.raises(InvalidArgument):
         Observable.dense(matrix)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: Observable.projector(1.5, [0]), lambda: Observable.qubit_one_projector(2.5, 0)],
+    ids=["projector", "qubit_one_projector"],
+)
+def test_projectors_refuse_a_qubit_count_that_is_not_an_integer(build):
+    with pytest.raises(InvalidArgument, match="qubit count must be an integer"):
+        build()

@@ -10,12 +10,18 @@ directory, which is removed afterwards; the change is this checkout as it
 stands. For every workload in BENCHMARK.json the script runs `--pairs` pairs
 of `perfbench/run.py --trace 0`: one run of each side per pair, the side
 that goes first alternating from pair to pair, pair i with seed i (1, 2,
-...) and `--seconds` from `run_seconds`. Runs go one at a time.
+...) and `--seconds` from `run_seconds`. After a workload's pairs, each side
+makes one `--trace 1` run with seed 1: a traced run repeats its passes until
+`--seconds` of timed work have run, and spends untimed time in per-op
+replays on top, so its wall time can reach the run timeout long before
+`run_s` moves. Runs go one at a time.
 
 The output holds the environment facts and, per workload and end-to-end
 metric, both sides' medians and quartiles (`summarise` from
 perfbench/baseline.py), the pairs in which the change was better, and
 per side the fraction of failed tasks and every run that failed outright.
+Per workload, `traced` holds each side's traced run: its wall seconds, its
+exit code (None after a timeout) and its error, if it failed.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,23 +60,30 @@ def export(rev: str, into: Path) -> None:
     archive.unlink()
 
 
-def run_once(checkout: Path, spec: dict, workload: str, seed: int, seconds: float) -> dict:
-    """One `--trace 0` run: its parsed result and environment, or the reason
-    it failed."""
+def run_once(checkout: Path, spec: dict, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One `--trace <trace>` run: its parsed result and environment, or the
+    reason it failed; either way its wall seconds and exit code."""
     cmd = [sys.executable, *spec["command"][1:], "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    start = time.perf_counter()
     try:
         done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
                               timeout=RUN_TIMEOUT_S, env=env)
+    except subprocess.TimeoutExpired as exc:
+        return {"error": f"TimeoutExpired: {exc}", "wall_s": time.perf_counter() - start,
+                "exit_code": None}
+    wall = {"wall_s": time.perf_counter() - start, "exit_code": done.returncode}
+    try:
         lines = done.stdout.strip().splitlines()
         result = json.loads(lines[-1])
         result["env"] = json.loads(lines[-2])["env"]
-    except (subprocess.TimeoutExpired, json.JSONDecodeError, IndexError, KeyError) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
+    except (json.JSONDecodeError, IndexError, KeyError) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}", **wall}
     if done.returncode != 0 and not result.get("failed"):
-        return {"error": f"exit code {done.returncode}: {done.stderr[-500:]}"}
-    return result
+        return {"error": f"exit code {done.returncode}: {done.stderr[-500:]}", **wall}
+    return {**result, **wall}
 
 
 def workload_report(runs: list[dict], seeds: list[int], spec: dict) -> dict:
@@ -133,7 +147,7 @@ def main() -> int:
             runs = []
             for i, seed in enumerate(seeds):
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {s: run_once(checkouts[s], spec, workload, seed, seconds) for s in order}
+                pair = {s: run_once(checkouts[s], spec, workload, seed, seconds, 0) for s in order}
                 runs.append(pair)
                 for s in SIDES:
                     if "env" in pair[s]:
@@ -144,6 +158,12 @@ def main() -> int:
                          for s in SIDES}
                 print(f"{workload} seed {seed}: run_s {shown}", flush=True)
             out["workloads"][workload] = workload_report(runs, seeds, spec)
+            traced = {}
+            for s in SIDES:
+                done = run_once(checkouts[s], spec, workload, 1, seconds, 1)
+                traced[s] = {k: done[k] for k in ("wall_s", "exit_code", "error") if k in done}
+                print(f"{workload} traced seed 1 ({s}): {traced[s]}", flush=True)
+            out["workloads"][workload]["traced"] = traced
             for name, entry in out["workloads"][workload]["metrics"].items():
                 if "parent" in entry:
                     print(f"  {name}: {entry['parent']['median']:.6g} -> {entry['change']['median']:.6g}"
