@@ -182,7 +182,7 @@ def main(argv=None) -> int:
     except SingularChannel as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except (CircuitParseError, json.JSONDecodeError, OSError, InvalidArgument, InvalidSamples) as exc:
+    except (CircuitParseError, OSError, InvalidArgument, InvalidSamples) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BlockPecError as exc:

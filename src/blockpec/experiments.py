@@ -94,7 +94,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text))
+        try:
+            return cls.from_dict(json.loads(text))
+        except json.JSONDecodeError as exc:
+            raise InvalidArgument(f"bad experiment config JSON: {exc}") from exc
 
 
 def build_family_circuit(

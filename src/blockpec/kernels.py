@@ -1,7 +1,7 @@
 """State-update kernels and the steps that the simulator compiles for them.
 
-A step is a pair ``(kernel, args)``, applied by ``run(state, step, owned)`` as
-``kernel(state, *args, owned)``; the state is a 2^n vector or a 2^n x 2^n
+A step is a pair ``(kernel, args)``, applied by ``run(state, step)`` as
+``kernel(state, *args)``; the state is a 2^n vector or a 2^n x 2^n
 density matrix (qubit q is index bit n-1-q), or a stack of them along a
 leading axis. Whether a step acts on density matrices is fixed when it is
 compiled; the state's shape tells only how many states are stacked. There is
@@ -31,14 +31,13 @@ one kernel per kind of step:
   bit), so every term multiplies a view by a weight or a 2 x 2 weight
   pattern.
 
-Public wrappers return new arrays; evolve owns its intermediates. A kernel
-called with ``owned=False`` leaves ``state`` untouched and returns a new
-array. With ``owned=True`` (a complex state that nothing else refers to) it may
-overwrite ``state``: the elementwise multiplies of gather and broadcast run
-in place, a dense step on a large state reuses the state's buffer for its
-intermediates, so it holds two 2^2n arrays instead of up to four, and a
-Pauli channel writes each qubit's result into the buffer that the qubit
-before it read.
+A kernel may overwrite the state it is given, whose dtype must hold the
+result, and returns the result, which may be that state: the elementwise
+multiplies of gather and broadcast run in place, a dense step on a large
+state reuses the state's buffer for its intermediates, so it holds two 2^2n
+arrays instead of up to four, and a Pauli channel writes each qubit's result
+into the buffer that the qubit before it read. A caller that keeps a state
+hands the kernel a copy.
 
 Gather and broadcast multiply each entry by the exact unit or the eigenvalue
 that the tensordot contraction or a full 2^n x 2^n coherence table would, so
@@ -87,7 +86,7 @@ _RUN_QUBITS = 6
 _BATCH_RUN = 16
 _BATCH_SIZE = 1 << 16
 
-# A dense step on an owned state of at least _REUSE_SIZE entries (n = 7 for
+# A dense step on a state of at least _REUSE_SIZE entries (n = 7 for
 # a density matrix) reuses the state's buffer for its intermediates; below
 # that, the extra calls cost more than fresh arrays. Measured on one BLAS
 # thread: H on qubit 0 at n = 5 takes 20 us with fresh arrays against 26 us
@@ -105,15 +104,15 @@ _SLICE_RUN = 8
 _SLICE_BLOCK = 1 << 10
 
 
-def run(state: np.ndarray, step, owned: bool = False) -> np.ndarray:
+def run(state: np.ndarray, step) -> np.ndarray:
     kernel, args = step
-    return kernel(state, *args, owned)
+    return kernel(state, *args)
 
 
 # ---- kernels
 
 
-def gather(state: np.ndarray, src, phase: np.ndarray | None, density: bool, owned: bool = False) -> np.ndarray:
+def gather(state: np.ndarray, src, phase: np.ndarray | None, density: bool) -> np.ndarray:
     """Entry x comes from ``src[x]`` and takes the phase ``phase[x]``; on a
     density matrix, entry (x, y) comes from (src[x], src[y]) and takes
     phase[x] * conj(phase[y]). ``src`` None is the identity permutation (Z, S,
@@ -123,9 +122,7 @@ def gather(state: np.ndarray, src, phase: np.ndarray | None, density: bool, owne
     permutation moves whole."""
     rows = phase[..., None] if density and phase is not None else phase
     if src is None:
-        if phase is None:
-            return state if owned else state.copy()
-        out = np.multiply(state, rows, out=state) if owned else state * rows
+        out = state if phase is None else np.multiply(state, rows, out=state)
     else:
         if isinstance(src, np.ndarray):
             if not density:
@@ -179,18 +176,18 @@ def _left(u: np.ndarray, x: np.ndarray, a: int, c: int, spare: np.ndarray | None
     return spare, x
 
 
-def dense(state: np.ndarray, u: np.ndarray, u_conj, qubits: list, n: int, owned: bool = False) -> np.ndarray:
+def dense(state: np.ndarray, u: np.ndarray, u_conj, qubits: list, n: int) -> np.ndarray:
     """``u`` on the rows, and on a density matrix (``u_conj`` given) its
     conjugate on the columns. A gate on ascending adjacent qubits
     q0..q0+k-1 multiplies the state's (G 2^q0, 2^k, rest) view, G states
-    stacked; a large owned state shares that work with one more buffer. Any
+    stacked; a large state shares that work with one more buffer. Any
     other qubit tuple is contracted with ``np.tensordot``."""
     k, q0 = len(qubits), qubits[0]
     nd = 1 if u_conj is None else 2
     stack = state.size >> (nd * n)
     if qubits == list(range(q0, q0 + k)):
         c = 1 << (n - q0 - k)
-        spare = np.empty_like(state) if owned and state.size >= _REUSE_SIZE else None
+        spare = np.empty_like(state) if state.size >= _REUSE_SIZE else None
         out, spare = _left(u, state, stack << q0, c << n if nd == 2 else c, spare)
         if nd == 2:
             out, _ = _left(u_conj, out, stack << (n + q0), c, spare)
@@ -203,16 +200,15 @@ def dense(state: np.ndarray, u: np.ndarray, u_conj, qubits: list, n: int, owned:
     return tensor.reshape(state.shape)
 
 
-def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple, owned: bool = False) -> np.ndarray:
+def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple) -> np.ndarray:
     """Multiply by ``factor`` over the (2,)*2n view. The factor covers the
     rows where every ``looped`` qubit reads 0; where such a qubit reads 1, the
     eigenvalue pattern is XOR-shifted on that qubit, which is the factor with
     the qubit's column axis reversed."""
     tensor = state.reshape(state.shape[:-2] + (2,) * factor.ndim)
     if not looped:
-        return (np.multiply(tensor, factor, out=tensor) if owned else tensor * factor).reshape(state.shape)
+        return np.multiply(tensor, factor, out=tensor).reshape(state.shape)
     n = factor.ndim // 2
-    out = tensor if owned else np.empty(tensor.shape, np.result_type(tensor, factor))
     for bits in itertools.product((0, 1), repeat=len(looped)):
         index = [Ellipsis] + [slice(None)] * factor.ndim
         f = factor
@@ -220,25 +216,24 @@ def broadcast(state: np.ndarray, factor: np.ndarray, looped: tuple, owned: bool 
             index[1 + q] = slice(b, b + 1)
             if b:
                 f = np.flip(f, n + q)
-        np.multiply(tensor[tuple(index)], f, out=out[tuple(index)])
-    return out.reshape(state.shape)
+        np.multiply(tensor[tuple(index)], f, out=tensor[tuple(index)])
+    return tensor.reshape(state.shape)
 
 
-def pauli_channel(rho: np.ndarray, weights: np.ndarray, qubits, n: int, owned: bool = False) -> np.ndarray:
+def pauli_channel(rho: np.ndarray, weights: np.ndarray, qubits, n: int) -> np.ndarray:
     """rho -> sum_P w_P P rho P over P = I, X, Y, Z (``weights`` in that
     order, summed in that order) on each of ``qubits`` in turn. Each qubit
     views the state as (stack, 2^q, row bit, rest, 2^q, column bit, rest):
     X rho X is that view with both bit axes reversed, and the Y and Z terms
     take the sign (-1)^(row bit xor column bit) into their weights. The terms
-    share one buffer; on an owned state, each qubit's result lands in the
-    buffer that the previous qubit read."""
+    share one buffer; each qubit's result lands in the buffer that the
+    previous qubit read."""
     w_i, w_x, w_y, w_z = weights
     parity = np.array([[1.0, -1.0], [-1.0, 1.0]]).reshape(2, 1, 1, 2, 1)
     w_y, w_z = w_y * parity, w_z * parity
     stack = rho.size >> (2 * n)
-    term, spare = np.empty_like(rho), None
+    term, out = np.empty_like(rho), np.empty_like(rho)
     for q in qubits:
-        out = np.empty_like(rho) if spare is None else spare
         shape = (stack, 1 << q, 2, 1 << (n - 1 - q), 1 << q, 2, 1 << (n - 1 - q))
         r, o, t = (a.reshape(shape) for a in (rho, out, term))
         flipped = r[:, :, ::-1, :, :, ::-1]
@@ -246,8 +241,7 @@ def pauli_channel(rho: np.ndarray, weights: np.ndarray, qubits, n: int, owned: b
         o += np.multiply(flipped, w_x, out=t)
         o += np.multiply(flipped, w_y, out=t)
         o += np.multiply(r, w_z, out=t)
-        spare = rho if owned else None
-        rho, owned = out, True
+        rho, out = out, rho
     return rho
 
 

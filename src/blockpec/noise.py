@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, SingularChannel, UnsupportedKind
-from .gates import integer, is_real
+from .gates import integer, is_real, natural
 
 NOISE_KINDS = ("uncorrelated", "correlated", "impure", "none")
 
@@ -157,6 +157,8 @@ class ZMixtureChannel:
         return bool(self.coeffs[0] == 1.0 and not self.coeffs[1:].any())
 
     def coeff(self, local_mask: int) -> float:
+        if natural(local_mask, "local mask") >= len(self.coeffs):
+            raise InvalidArgument(f"local mask {local_mask} out of range for support {self.support}")
         return float(self.coeffs[local_mask])
 
     def coeff_for(self, qubits) -> float:

@@ -42,26 +42,46 @@ STATEVECTOR_GUARD = 14
 DENSITY_GUARD = 10
 
 
+def _copy_in(state, n, density: bool, qubits=(), u: np.ndarray | None = None) -> np.ndarray:
+    """``state`` copied in the result's dtype for a step to overwrite, once
+    ``n``, the shape of one 2^n state, distinct ``qubits`` in [0, n) and a
+    2^k x 2^k ``u`` on k >= 1 of them are checked (InvalidArgument)."""
+    n = natural(n, "qubit count")
+    state = np.asarray(state)
+    if state.shape != (1 << n,) * (1 + density):
+        raise InvalidArgument(f"state of shape {state.shape} on {n} qubit(s)")
+    qubits = tuple(qubits)
+    if len(set(qubits)) != len(qubits) or not all(is_integer(q) and 0 <= q < n for q in qubits):
+        raise InvalidArgument(f"need distinct qubits in [0, {n}), got {qubits}")
+    if u is not None and (not qubits or u.shape != (1 << len(qubits),) * 2):
+        raise InvalidArgument(f"a gate on qubits {qubits} needs a 2^k x 2^k matrix, got {u.shape}")
+    return np.array(state, dtype=np.result_type(state, float if u is None else u))
+
+
 def apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
     u = np.asarray(u)
-    psi = np.asarray(psi, dtype=np.result_type(psi, u))
+    psi = _copy_in(psi, n, False, qubits, u)
     return run(psi, unitary_step(u, qubits, n, density=False))
 
 
 def apply_unitary_density(rho: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
     u = np.asarray(u)
-    rho = np.asarray(rho, dtype=np.result_type(rho, u))
+    rho = _copy_in(rho, n, True, qubits, u)
     return run(rho, unitary_step(u, qubits, n, density=True))
 
 
 def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np.ndarray:
     """Apply a (possibly signed) Z-mixture: multiply each coherence by the
     mixture's Walsh-Hadamard eigenvalue at that XOR pattern."""
+    if not isinstance(mix, ZMixtureChannel):
+        raise InvalidArgument(f"need a ZMixtureChannel, got {mix!r}")
+    rho = _copy_in(rho, n, True, mix.support)
     return run(rho, mixture_step(mix, n))
 
 
 def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
-    return run(rho, sign_step(mask, n, True))
+    rho = _copy_in(rho, n, True)
+    return run(rho, sign_step(natural(mask, "mask"), n, True))
 
 
 # Byte budgets of the per-call compiled steps and of the prefix states the
@@ -130,14 +150,13 @@ class _Program:
                 self.per_op[i] = steps
         return steps
 
-    def evolve(self, state: np.ndarray, start: int, stop: int, owned: bool = False) -> np.ndarray:
-        """Ops [start, stop): each op's unitary, then on the density path its
-        noise channel and correction. The first step writes a new array
-        unless ``owned`` (a complex state that nothing else refers to); every
-        later step may overwrite the state it is given."""
+    def evolve(self, state: np.ndarray, start: int, stop: int) -> np.ndarray:
+        """Ops [start, stop) on ``state``, which the steps may overwrite:
+        each op's unitary, then on the density path its noise channel and
+        correction."""
         for i in range(start, stop):
             for step in self.op_steps(i):
-                state, owned = run(state, step, owned), True
+                state = run(state, step)
         return state
 
 
@@ -245,7 +264,7 @@ def ideal_expectation(c: Circuit, obs: Observable) -> float:
     _check_obs(c, obs)
     if c.n > STATEVECTOR_GUARD:
         raise GuardExceeded(f"statevector refused for n={c.n} > {STATEVECTOR_GUARD}")
-    psi = _Program(c, density=False).evolve(_zero_state(c.n, False), 0, len(c.ops), owned=True)
+    psi = _Program(c, density=False).evolve(_zero_state(c.n, False), 0, len(c.ops))
     return obs.expectation_state(psi)
 
 
@@ -255,7 +274,7 @@ def _density_expectation(c: Circuit, obs: Observable, mode: str | None) -> float
     if c.n > DENSITY_GUARD:
         raise GuardExceeded(f"density matrix refused for n={c.n} > {DENSITY_GUARD}")
     plan = None if mode is None else mitigation_plan(c, mode)
-    rho = _Program(c, True, plan).evolve(_zero_state(c.n, True), 0, len(c.ops), owned=True)
+    rho = _Program(c, True, plan).evolve(_zero_state(c.n, True), 0, len(c.ops))
     return obs.expectation_density(rho)
 
 
@@ -443,16 +462,16 @@ def _trajectory_outcomes(
             nxt[g] = pending[-1]
         pending.append(g)
 
-    # States on the stack are shared by later groups, so a group's steps may
-    # overwrite only the states that it evolved itself and did not store.
-    stack = [(0, evolve(initial, 0, bounds[1], owned=True))]
+    # States on the stack are shared by later groups, so each group evolves
+    # a copy of the one it restarts from, and the stack keeps copies.
+    stack = [(0, evolve(initial, 0, bounds[1]))]
     held = 0
     out = np.empty(len(rows))
     for g, (a, b) in enumerate(zip(firsts, firsts[1:])):
         while stack[-1][0] > start[g]:
             held -= stack.pop()[1].nbytes
         top, state = stack[-1]
-        owned = False
+        state = state.copy()
         keep = []  # depths where later groups restart, shallowest last
         j = g + 1
         while j < len(start) and start[j] > top:
@@ -460,15 +479,14 @@ def _trajectory_outcomes(
             j = nxt[j]
         for d in range(top, shared[g] + 1):
             if d > top:
-                state, owned = evolve(state, bounds[d], bounds[d + 1], owned), True
+                state = evolve(state, bounds[d], bounds[d + 1])
                 if keep and keep[-1] == d:
                     keep.pop()
                     if held + state.nbytes <= _STATE_BYTES:
-                        stack.append((d, state))
+                        stack.append((d, state.copy()))
                         held += state.nbytes
-                        owned = False
             if d < shared[g] and rows[a][d]:
-                state, owned = run(state, signs(rows[a][d]), owned), True
+                state = run(state, signs(rows[a][d]))
         if b - a == 1:
             out[a] = expect(state)
             continue
@@ -488,10 +506,10 @@ def _trajectory_outcomes(
                 phases = np.stack([signs(m)[1][1] for m in drawn.tolist()])[which]
                 step = (gather, (None, phases, use_density))
                 if len(hit) == len(states):
-                    states = run(states, step, True)
+                    states = run(states, step)
                 else:
-                    states[hit] = run(states[hit], step, True)
-            states = evolve(states, bounds[d + 1], bounds[d + 2], owned=True)
+                    states[hit] = run(states[hit], step)
+            states = evolve(states, bounds[d + 1], bounds[d + 2])
         for r, final in enumerate(states):
             out[a + r] = expect(final)
     return out[inverse]

@@ -268,6 +268,13 @@ def test_parse_errors(tmp_path, diag_circuit, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_malformed_config_json_exits_parse_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{")
+    assert main(["experiment", "--config", str(cfg)]) == 4
+    assert capsys.readouterr().err.startswith("error: bad experiment config JSON")
+
+
 def test_non_finite_angle_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "nan.txt"
     for theta in ("nan", "inf"):

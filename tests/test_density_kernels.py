@@ -84,13 +84,10 @@ def _ops(rng, n):
             yield GateOp(kind, qubits, angle)
 
 
-def _both(state, step):
-    """The step's results on a state it must leave untouched and on a copy
-    that it owns and may overwrite."""
-    before = state.tobytes()
-    got = kernels.run(state, step)
-    assert state.tobytes() == before
-    return got, kernels.run(state.copy(), step, owned=True)
+def _run(state, step):
+    """The step's result on a copy of ``state``, which the step may
+    overwrite."""
+    return kernels.run(state.copy(), step)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -134,7 +131,7 @@ DENSE_OPS = (
 )
 
 # Batched products from c = 4 on at every size, or the transposed-copy route
-# at every c, both reusing an owned state's buffer at every size; "measured"
+# at every c, both reusing the state's buffer at every size; "measured"
 # keeps the kernel's own crossovers.
 ROUTES = {
     "measured": {"_BATCH_RUN": kernels._BATCH_RUN},
@@ -150,8 +147,7 @@ def test_dense_steps_equal_tensordot_at_every_position(n, route):
     """Every dense kind on every run of adjacent ascending qubits (so every
     trailing extent c = 2^(n-q0-k)) for n <= 8, and on the first, the
     second-to-last and the last qubits at n = 9 and 10, equals np.tensordot
-    bit for bit on statevectors and densities, both on an input the step must
-    leave untouched and on one it owns. The equality rests on zgemm
+    bit for bit on statevectors and densities. The equality rests on zgemm
     rounding each entry alike in one large product and in a batch of
     (2^k, c >= 4) products; it was established with numpy 2.4.6 on OpenBLAS
     0.3.31 (scipy-openblas64, DYNAMIC_ARCH, Haswell kernels)."""
@@ -170,12 +166,11 @@ def test_dense_steps_equal_tensordot_at_every_position(n, route):
                 step = kernels.unitary_step(u, qubits, n, True)
                 assert step[0] is kernels.dense, op
                 want = tensordot_unitary_state(psi, u, qubits, n)
-                for got in _both(psi, kernels.unitary_step(u, qubits, n, False)):
-                    assert np.array_equal(got, want), (op, q0)
+                got = _run(psi, kernels.unitary_step(u, qubits, n, False))
+                assert np.array_equal(got, want), (op, q0)
                 for rho in densities:
                     want = tensordot_unitary_density(rho, u, qubits, n)
-                    for got in _both(rho, step):
-                        assert np.array_equal(got, want), (op, q0)
+                    assert np.array_equal(_run(rho, step), want), (op, q0)
 
 
 PERMUTATIONS = {
@@ -206,8 +201,7 @@ def _positions(n, k):
 def test_permutation_gathers_equal_tensordot_on_both_routes(n):
     """Every permutation kind, on every qubit tuple that _positions gives,
     moved by slice blocks and by the 2-D index, equals np.tensordot bit for
-    bit (signed zeros compare equal), on a density it leaves untouched and on
-    one it owns."""
+    bit (signed zeros compare equal)."""
     rng = np.random.default_rng(400 + n)
     densities = _densities(rng, n)
     densities = (densities[0], densities[3]) if n <= 8 else densities[:1]
@@ -220,8 +214,7 @@ def test_permutation_gathers_equal_tensordot_on_both_routes(n):
                     step = kernels.unitary_step(u, qubits, n, True)
                 assert step[0] is kernels.gather and isinstance(step[1][0], src_type), (kind, route)
                 for rho, want in zip(densities, wants):
-                    for got in _both(rho, step):
-                        assert np.array_equal(got, want), (kind, qubits, route)
+                    assert np.array_equal(_run(rho, step), want), (kind, qubits, route)
 
 
 def test_slice_route_follows_the_measured_crossover():
@@ -250,12 +243,11 @@ def test_identity_permutation_gathers_skip_the_index(n):
         for psi in states:
             got = apply_unitary_state(psi, u, qubits, n)
             assert got is not psi and np.array_equal(got, tensordot_unitary_state(psi, u, qubits, n))
-            owned = kernels.run(psi.copy(), kernels.unitary_step(u, qubits, n, False), owned=True)
-            assert np.array_equal(owned, got)
+            assert np.array_equal(_run(psi, kernels.unitary_step(u, qubits, n, False)), got)
         for rho in densities:
             got = apply_unitary_density(rho, u, qubits, n)
             assert got is not rho and np.array_equal(got, tensordot_unitary_density(rho, u, qubits, n))
-            assert np.array_equal(kernels.run(rho.copy(), (kernel, args), owned=True), got)
+            assert np.array_equal(_run(rho, (kernel, args)), got)
 
 
 def test_real_inputs_keep_the_tensordot_dtype():
@@ -314,8 +306,7 @@ def test_broadcast_factor_is_bytewise_the_coherence_table(n, slack):
         for mix in itertools.chain(_support_mixtures(n), _block_mixtures(n, rng)):
             got = apply_z_mixture_density(ones, mix, n)
             assert got.tobytes() == coherence_factors(mix, n).tobytes(), mix.support
-            owned = kernels.run(ones.copy(), kernels.mixture_step(mix, n), owned=True)
-            assert owned.tobytes() == got.tobytes(), mix.support
+            assert _run(ones, kernels.mixture_step(mix, n)).tobytes() == got.tobytes(), mix.support
 
 
 @pytest.mark.parametrize("slack", [None, 0])
@@ -338,8 +329,7 @@ def test_widened_factor_is_bytewise_the_coherence_table(n, slack):
                 assert (factor.shape[-kernels._RUN_QUBITS :] == (2,) * kernels._RUN_QUBITS) == widened
                 got = apply_z_mixture_density(ones, m, n)
                 assert got.tobytes() == coherence_factors(m, n).tobytes(), (support, looped)
-                owned = kernels.run(ones.copy(), kernels.mixture_step(m, n), owned=True)
-                assert owned.tobytes() == got.tobytes(), (support, looped)
+                assert _run(ones, kernels.mixture_step(m, n)).tobytes() == got.tobytes(), (support, looped)
 
 
 @pytest.mark.parametrize("slack", [None, 0])
@@ -383,14 +373,13 @@ PAULI_WEIGHTS = (make_impure(0.1, 0.7), np.array([1.3, -0.05, -0.11, -0.14]))
 def test_signs_and_pauli_channel_equal_reference(n):
     """Sign steps equal the sign table. The Pauli channel on every qubit and
     every ordered qubit pair, on each density alone and on a stack of three,
-    owned or not (a state it does not own is left bytewise unchanged), equals
-    the tensordot sum of Pauli conjugations."""
+    equals the tensordot sum of Pauli conjugations."""
     rng = np.random.default_rng(40 + n)
     densities = _densities(rng, n)
     for rho in densities:
         for mask in range(1 << n):
-            for got in _both(rho, kernels.sign_step(mask, n, True)):
-                assert np.array_equal(got, rho * z_sign_matrix(mask, n))
+            got = _run(rho, kernels.sign_step(mask, n, True))
+            assert np.array_equal(got, rho * z_sign_matrix(mask, n))
             assert np.array_equal(apply_z_string_density(rho, mask, n), got)
     stack = np.stack(densities[:3])
     positions = [(q,) for q in range(n)] + list(itertools.permutations(range(n), 2))
@@ -403,11 +392,10 @@ def test_signs_and_pauli_channel_equal_reference(n):
                 for q in qubits:
                     want = table_pauli1_density(want, weights, q, n)
                 wants.append(want)
-                for got in _both(rho, step):
-                    assert np.array_equal(got, want), (weights, qubits)
-            for got in _both(stack, step):
-                assert got.shape == stack.shape
-                assert np.array_equal(got, np.stack(wants[:3])), (weights, qubits)
+                assert np.array_equal(_run(rho, step), want), (weights, qubits)
+            got = _run(stack, step)
+            assert got.shape == stack.shape
+            assert np.array_equal(got, np.stack(wants[:3])), (weights, qubits)
     assert kernels.noise_step(NoiseSpec("impure", 0.1, 0.7), (0,), n)[0] is kernels.pauli_channel
 
 
@@ -445,7 +433,7 @@ def _stacked_steps(rng, n):
 @pytest.mark.parametrize("n", (2, 3, 5, 7))
 def test_stacked_steps_equal_each_state_alone(n, slack):
     """A stack of density matrices along a leading axis meets every step as
-    each of its states would alone, bit for bit, owned or not. At n >= 2
+    each of its states would alone, bit for bit. At n >= 2
     every dense product has a multiple of 4 columns, which zgemm rounds the
     same however many states add columns."""
     slack = kernels._FACTOR_SLACK if slack is None else slack
@@ -454,15 +442,14 @@ def test_stacked_steps_equal_each_state_alone(n, slack):
     with mock.patch.object(kernels, "_FACTOR_SLACK", slack):
         steps = list(_stacked_steps(rng, n))
     for step in steps:
-        alone = np.stack([kernels.run(rho, step) for rho in stack])
-        for got in _both(stack, step):
-            assert got.shape == stack.shape and got.flags.c_contiguous
-            assert got.tobytes() == alone.tobytes(), step[0].__name__
+        alone = np.stack([_run(rho, step) for rho in stack])
+        got = _run(stack, step)
+        assert got.shape == stack.shape and got.flags.c_contiguous
+        assert got.tobytes() == alone.tobytes(), step[0].__name__
     # One drawn Z-string per stacked state: a phase with a stack axis.
     phases = np.stack([kernels.z_sign_vector(int(m), n) for m in rng.integers(0, 1 << n, len(stack))])
-    alone = np.stack([kernels.run(rho, (kernels.gather, (None, p, True))) for rho, p in zip(stack, phases)])
-    for got in _both(stack, (kernels.gather, (None, phases, True))):
-        assert got.tobytes() == alone.tobytes()
+    alone = np.stack([_run(rho, (kernels.gather, (None, p, True))) for rho, p in zip(stack, phases)])
+    assert _run(stack, (kernels.gather, (None, phases, True))).tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("n", (5, 7))
@@ -473,9 +460,9 @@ def test_stacked_statevectors_equal_each_state_alone(n):
     stack = np.stack(_states(rng, n))
     for op in _ops(rng, n):
         step = kernels.unitary_step(unitary_of(op), op.qubits, n, False)
-        alone = np.stack([kernels.run(psi, step) for psi in stack])
-        for got in _both(stack, step):
-            assert got.flags.c_contiguous and got.tobytes() == alone.tobytes(), op
+        alone = np.stack([_run(psi, step) for psi in stack])
+        got = _run(stack, step)
+        assert got.flags.c_contiguous and got.tobytes() == alone.tobytes(), op
 
 
 @st.composite

@@ -332,3 +332,8 @@ def test_fit_refuses_points_that_are_not_real_numbers(point):
 def test_fit_refuses_points_that_are_not_pairs(points):
     with pytest.raises(InvalidArgument, match="pairs of real numbers"):
         fit_models(points)
+
+
+def test_config_from_json_wraps_malformed_json():
+    with pytest.raises(InvalidArgument, match="bad experiment config JSON"):
+        ExperimentConfig.from_json("{")

@@ -297,3 +297,10 @@ def test_fwht_acts_on_the_last_axis_row_by_row():
 def test_make_dephasing_refuses_a_spec_that_is_not_a_noise_spec(spec):
     with pytest.raises(InvalidArgument, match="NoiseSpec"):
         make_dephasing(spec, (0,))
+
+
+@pytest.mark.parametrize("mask", [-1, 4, 99, 1.5, True])
+def test_coeff_refuses_masks_outside_the_support(mask):
+    mix = make_dephasing(NoiseSpec("uncorrelated", 0.1), (0, 2))
+    with pytest.raises(InvalidArgument):
+        mix.coeff(mask)

@@ -7,6 +7,8 @@ from unittest import mock
 import numpy as np
 import pytest
 from conftest import EXACT_KINDS, random_circuit
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockpec.blocks import gamma_blk, gamma_std, layer_distribution
 from blockpec.circuits import Circuit, parse_circuit
@@ -17,13 +19,14 @@ from blockpec.errors import (
     NotZClosed,
     UnsupportedKind,
 )
-from blockpec.gates import GateOp, unitary_of
+from blockpec.gates import GATE_KINDS, GateOp, unitary_of
 from blockpec.noise import NoiseSpec, make_dephasing
 from blockpec.pauli import PauliZString
 from blockpec import simulate
 from blockpec.simulate import (
     Observable,
     apply_unitary_density,
+    apply_unitary_state,
     apply_z_mixture_density,
     apply_z_string_density,
     exact_mitigated_expectation,
@@ -555,3 +558,79 @@ def test_dense_observable_refuses_what_is_not_a_matrix_of_numbers(matrix):
 def test_projectors_refuse_a_qubit_count_that_is_not_an_integer(build):
     with pytest.raises(InvalidArgument, match="qubit count must be an integer"):
         build()
+
+
+H_MAT = unitary_of(GateOp("H", (0,)))
+CNOT_MAT = unitary_of(GateOp("CNOT", (0, 1)))
+
+BAD_WRAPPER_CALLS = {
+    "wide-gate": lambda: apply_unitary_density(np.eye(8), np.eye(4), (0,), 3),
+    "stacked-statevector": lambda: apply_unitary_state(np.ones(16), H_MAT, (0,), 3),
+    "duplicate-qubits": lambda: apply_unitary_density(np.eye(8), CNOT_MAT, (1, 1), 3),
+    "qubit-past-n": lambda: apply_unitary_state(np.ones(8), H_MAT, (3,), 3),
+    "mixture-past-n": lambda: apply_z_mixture_density(np.eye(8), make_dephasing(P01, (3,)), 3),
+    "density-shape": lambda: apply_unitary_density(np.eye(4), H_MAT, (0,), 3),
+    "fractional-n": lambda: apply_unitary_state(np.ones(8), H_MAT, (0,), 3.0),
+    "not-a-mixture": lambda: apply_z_mixture_density(np.eye(8), "dephasing", 3),
+    "fractional-mask": lambda: apply_z_string_density(np.eye(8), 1.5, 3),
+}
+
+
+@pytest.mark.parametrize("call", BAD_WRAPPER_CALLS.values(), ids=BAD_WRAPPER_CALLS.keys())
+def test_apply_wrappers_refuse_inconsistent_inputs(call):
+    with pytest.raises(InvalidArgument):
+        call()
+
+
+@st.composite
+def noise_visible_cases(draw):
+    """An H layer, 3-12 ops of EXACT_KINDS on 2-5 qubits, another H layer,
+    dephasing of either kind at p in [0.02, 0.2], and Z on one qubit."""
+    n = draw(st.integers(2, 5))
+    usable = [k for k in EXACT_KINDS if GATE_KINDS[k][0] <= n]
+    layer = [GateOp("H", (q,)) for q in range(n)]
+    ops = []
+    for _ in range(draw(st.integers(3, 12))):
+        kind = draw(st.sampled_from(usable))
+        arity, takes_angle = GATE_KINDS[kind]
+        qubits = tuple(draw(st.permutations(range(n)))[:arity])
+        ops.append(GateOp(kind, qubits, draw(st.floats(0.0, 2.0 * math.pi)) if takes_angle else None))
+    kind = draw(st.sampled_from(("uncorrelated", "correlated")))
+    c = Circuit(n, tuple(layer + ops + layer)).with_noise(NoiseSpec(kind, draw(st.floats(0.02, 0.2))))
+    return c, Observable.z(n, draw(st.integers(0, n - 1)))
+
+
+def test_exact_modes_cancel_noise_that_moves_the_expectation():
+    """Exact std and hybrid mitigation recover the ideal value on circuits
+    whose noise moves the noisy value: an H layer on each side turns the
+    dephasing between them into bit flips that Z sees. blk is not covered: it
+    refuses the H layers (NotZClosed), and the exact kinds alone keep |0...0>
+    a basis state, on which Z noise does nothing."""
+    gaps, errors = [], []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(noise_visible_cases())
+    def draw(case):
+        c, obs = case
+        ideal = ideal_expectation(c, obs)
+        gaps.append(abs(noisy_expectation(c, obs) - ideal))
+        errors.extend(abs(exact_mitigated_expectation(c, obs, mode) - ideal) for mode in ("std", "hybrid"))
+
+    draw()
+    assert sum(gap > 1e-6 for gap in gaps) >= len(gaps) / 2, gaps
+    assert max(errors) <= 1e-10, max(errors)
+
+
+def test_hybrid_estimate_cancels_visible_noise_within_hoeffding():
+    """The noise moves the expectation by more than the estimate's Hoeffding
+    half-width at failure probability 1e-6; the estimate lands within it."""
+    ops = [GateOp("RZ", (0,), 0.7), GateOp("CNOT", (0, 1)), GateOp("RZZ", (1, 2), 1.1), GateOp("T", (2,))]
+    layer = [GateOp("H", (q,)) for q in range(3)]
+    c = Circuit(3, tuple(layer + ops + layer)).with_noise(NoiseSpec("uncorrelated", 0.05))
+    obs = Observable.z(3, 0)
+    ideal = ideal_expectation(c, obs)
+    samples, epsilon = 4000, 1e-6
+    report = pec_estimate(c, obs, "hybrid", samples, 11)
+    half_width = report.gamma_used * math.sqrt(math.log(2.0 / epsilon) / (2.0 * samples))
+    assert abs(noisy_expectation(c, obs) - ideal) > half_width
+    assert abs(report.mean - ideal) <= half_width, (report.mean, ideal, half_width)
