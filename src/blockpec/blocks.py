@@ -67,6 +67,7 @@ class _GateTables:
     def __init__(self):
         self._images: dict = {}
         self._noise: dict = {}
+        self._layouts: dict = {}
 
     def images(self, op: GateOp) -> tuple[int | None, ...]:
         """conjugation.local_images(op) once per (kind, angle): the local mask
@@ -84,10 +85,10 @@ class _GateTables:
 
     def noise(self, op: GateOp, spec: NoiseSpec | None) -> tuple:
         """Per (spec, op arity): the coefficients of layer_distribution(op,
-        spec), their gamma, and g(u) = FWHT(log lambda)(u) / 2^m over the
-        local strings u of the forward channel (local bit i = i-th qubit of
-        the sorted support), so that log lambda(t) = sum_u g(u)
-        (-1)^{|u & t|}; g is None when noiseless."""
+        spec), their gamma, g(u) = FWHT(log lambda)(u) / 2^m over the local
+        strings u of the forward channel (local bit i = i-th qubit of the
+        sorted support), so that log lambda(t) = sum_u g(u) (-1)^{|u & t|},
+        or None when noiseless, and the coefficients' eigenvalues."""
         key = (spec, op.arity)
         if key not in self._noise:
             dist = layer_distribution(op, spec)
@@ -95,8 +96,24 @@ class _GateTables:
             if spec is not None and not spec.is_noiseless():
                 lam = make_dephasing(spec, range(op.arity)).eigenvalues()
                 g_hat = fwht(np.log(lam)) / len(lam)
-            self._noise[key] = (dist.coeffs, dist.gamma(), g_hat)
+            self._noise[key] = (dist.coeffs, dist.gamma(), g_hat, dist.eigenvalues())
         return self._noise[key]
+
+    def layout(self, local: tuple, m: int) -> tuple:
+        """Per span basis ``local`` on m qubits: the local mask of each span
+        element (bit i = basis row i), and the element each local pattern t
+        reads, whose bit i is the parity of t & local[i]."""
+        key = (local, m)
+        if key not in self._layouts:
+            index = np.zeros(1, dtype=np.int64)
+            for b in local:
+                index = np.concatenate([index, index ^ b])
+            pattern = np.zeros(1, dtype=np.int64)
+            for q in range(m):
+                column = sum((b >> q & 1) << i for i, b in enumerate(local))
+                pattern = np.concatenate([pattern, pattern ^ column])
+            self._layouts[key] = index, pattern
+        return self._layouts[key]
 
 
 def _xor_of(rows, local_mask: int) -> int:
@@ -165,14 +182,14 @@ def _block_span(c: Circuit, start: int, stop: int, tables: _GateTables) -> tuple
     coord = {mask: sum(1 << j for j, p in enumerate(pivots) if mask >> p & 1) for mask in masks}
     for rows, _ in rows_by_arity.values():
         rows[:] = map(coord.get, rows)
-    local = [sum(1 << i for i, q in enumerate(support) if b >> q & 1) for b in basis]
+    local = tuple(sum(1 << i for i, q in enumerate(support) if b >> q & 1) for b in basis)
     return local, support, rows_by_arity
 
 
-def _walsh_engine(c: Circuit, runs, tables: _GateTables, sign: float) -> list[ZMixtureChannel]:
-    """The effective noise (sign=+1) of each block c.ops[start:stop] in
-    ``runs``, or its inverse (sign=-1), as Z-mixtures computed in the Walsh
-    (eigenvalue) domain.
+def _walsh_engine(c: Circuit, runs, tables: _GateTables) -> list[tuple]:
+    """The inverse of the effective noise of each block c.ops[start:stop] in
+    ``runs``, as a Z-mixture computed in the Walsh (eigenvalue) domain, with
+    its eigenvalues over the mixture's 2^m local patterns.
 
     Walking a block's ops backward keeps pushed[q], the mask that Z_q at the
     current point becomes at the block's end. A noisy op's channel, pushed
@@ -183,7 +200,9 @@ def _walsh_engine(c: Circuit, runs, tables: _GateTables, sign: float) -> list[ZM
     the pushed rows, so the histogram and both transforms live on the 2^r
     coordinates of that span. The result is scattered into the 2^m local
     vector of the m qubits the span's masks touch (r <= m <= the qubits the
-    ops touch); masks outside the span stay exactly 0.
+    ops touch); masks outside the span stay exactly 0. The eigenvalues are
+    the exponentials, exact to relative precision; the transform of the
+    coefficients has an absolute error that grows with gamma.
 
     Bookkeeping runs per block (``_block_span``); the numbers run once per
     span rank r, as rows of one (blocks, 2^r) histogram and one pair of
@@ -217,18 +236,16 @@ def _walsh_engine(c: Circuit, runs, tables: _GateTables, sign: float) -> list[ZM
                 index ^= ((bits >> i) & 1) * coords[:, i : i + 1]
             hist += np.bincount(index.ravel(), np.concatenate(weights), len(hist))
         with np.errstate(over="ignore", invalid="ignore"):
-            coeffs = fwht(np.exp(sign * fwht(hist.reshape(-1, size)))) / size
+            eigs = np.exp(-fwht(hist.reshape(-1, size)))
+            coeffs = fwht(eigs) / size
         if not np.isfinite(coeffs).all():
             raise GuardExceeded("block coefficients overflow float64")
-        for k, row in zip(members, coeffs):
+        for k, row, lam in zip(members, coeffs, eigs):
             local, support, _ = spans[k]
-            # Span element j (bit i = basis row i) goes to its mask's local index.
-            index = np.zeros(1, dtype=np.int64)
-            for local_b in local:
-                index = np.concatenate([index, index ^ local_b])
+            index, pattern = tables.layout(local, len(support))
             vec = np.zeros(1 << len(support))
             vec[index] = row
-            out[k] = ZMixtureChannel(support, vec)
+            out[k] = (ZMixtureChannel(support, vec), lam[pattern])
     if failure is not None:
         raise failure
     return out
@@ -244,18 +261,12 @@ def block_coefficients(c: Circuit) -> ZMixtureChannel:
     SingularChannel on non-invertible noise, UnsupportedKind on impure noise,
     GuardExceeded when the noise reaches more than 20 qubits or the
     coefficients overflow float64.
+
+    Its ``.eigenvalues()`` stays the transform of these coefficients, whose
+    error grows with gamma; ``mitigation_plan``'s block segments carry the
+    engine's own.
     """
-    return _walsh_engine(c, [(0, len(c.ops))], _GateTables(), -1.0)[0]
-
-
-def effective_noise(c: Circuit) -> ZMixtureChannel:
-    """All per-gate noise channels commuted to the end and composed: the
-    single Z-mixture N_eff with (noisy circuit) = N_eff o (ideal circuit),
-    on the qubits the noise reaches.
-
-    The same Walsh-domain computation as block_coefficients, with the
-    log-eigenvalues taken positive instead of negated."""
-    return _walsh_engine(c, [(0, len(c.ops))], _GateTables(), 1.0)[0]
+    return _walsh_engine(c, [(0, len(c.ops))], _GateTables())[0][0]
 
 
 def gamma_std(c: Circuit) -> float:
@@ -280,6 +291,7 @@ class PlanSegment:
     stop: int
     gamma: float
     coeffs: ZMixtureChannel
+    eigenvalues: np.ndarray  # of coeffs: a block's from _walsh_engine, else fwht(coeffs)
 
 
 @dataclass(frozen=True)
@@ -339,17 +351,17 @@ def mitigation_plan(c: Circuit, mode: str) -> MitigationPlan:
             i = stops[i]
             continue
         try:
-            coeffs, g, _ = tables.noise(c.ops[i], c.noise_tags[i])
+            coeffs, g, _, lam = tables.noise(c.ops[i], c.noise_tags[i])
         except BlockPecError as exc:
             failure, runs = exc, [r for r in runs if r[0] < i]
             break
         dist = ZMixtureChannel(tuple(sorted(c.ops[i].qubits)), coeffs.copy())
-        segments.append(PlanSegment("per_gate", i, i + 1, g, dist))
+        segments.append(PlanSegment("per_gate", i, i + 1, g, dist, lam.copy()))
         i += 1
-    mixes = _walsh_engine(c, runs, tables, -1.0)
+    mixes = _walsh_engine(c, runs, tables)
     if failure is not None:
         raise failure
-    blocks = iter([PlanSegment("block", *run, mix.gamma(), mix) for run, mix in zip(runs, mixes)])
+    blocks = iter([PlanSegment("block", *run, mix.gamma(), mix, lam) for run, (mix, lam) in zip(runs, mixes)])
     segments = tuple(next(blocks) if seg is None else seg for seg in segments)
     total = math.prod((seg.gamma for seg in segments), start=1.0)
     return MitigationPlan(segments, _finite(total, f"{mode} total gamma"))
@@ -390,12 +402,12 @@ def analytic_pattern_gammas(
     return g1**4, (1.0 + 2.0 * p - 2.0 * p * p) * g1**3
 
 
-def pattern_circuit(pattern: str, theta: float = 0.37) -> Circuit:
-    """Reference circuits matching ``analytic_pattern_gammas``."""
+def pattern_circuit(pattern: str) -> Circuit:
+    """Reference circuits matching ``analytic_pattern_gammas`` (angle 0.37)."""
     if pattern == "a":
-        return Circuit(2, (GateOp("RZ", (1,), theta), GateOp("CNOT", (0, 1))))
+        return Circuit(2, (GateOp("RZ", (1,), 0.37), GateOp("CNOT", (0, 1))))
     if pattern == "b":
-        return Circuit(2, (GateOp("RZZ", (0, 1), theta), GateOp("CNOT", (0, 1))))
+        return Circuit(2, (GateOp("RZZ", (0, 1), 0.37), GateOp("CNOT", (0, 1))))
     if pattern == "c":
-        return Circuit(3, (GateOp("RZZ", (1, 2), theta), GateOp("CNOT", (0, 1))))
+        return Circuit(3, (GateOp("RZZ", (1, 2), 0.37), GateOp("CNOT", (0, 1))))
     raise InvalidArgument(f"unknown pattern {pattern!r}")

@@ -1,6 +1,6 @@
 """Gate and circuit compatibility classifiers.
 
-Three per-gate predicates and a circuit-level report:
+A circuit-level report of three per-gate flags:
 
 - bias-preserving: the unitary is a generalized permutation matrix (one
   unit-modulus entry per column), so phase flips map to phase flips.
@@ -19,19 +19,14 @@ import numpy as np
 
 from .circuits import Circuit
 from .conjugation import local_images
-from .errors import UnsupportedGate
 from .gates import GateOp, unitary_of
 
 _TOL = 1e-10
 
 
-def is_bias_preserving(g: GateOp) -> bool:
-    """True iff every column of the unitary has exactly one entry of modulus
-    >= 1 - 1e-10 and the rest <= 1e-10."""
-    return _bias_preserving(unitary_of(g))
-
-
 def _bias_preserving(u: np.ndarray) -> bool:
+    """Every column has exactly one entry of modulus >= 1 - 1e-10 and the
+    rest <= 1e-10."""
     u = np.abs(u)
     big = u >= 1.0 - _TOL
     small = u <= _TOL
@@ -39,18 +34,11 @@ def _bias_preserving(u: np.ndarray) -> bool:
     return bool(per_column_ok.all())
 
 
-def is_s1_bias_preserving(g: GateOp) -> bool:
-    """Bias preservation on the single-excitation subspace of a 2-qubit gate:
-    the unitary maps span{|01>, |10>} into itself. Its 2x2 block there is
-    then unitary, and so is the D' = B D B^-1 it gives each phase-flip
-    generator D in {Z1, Z2, Z1Z2}."""
-    if g.arity != 2:
-        raise UnsupportedGate(f"S1 classification needs a 2-qubit gate, got {g}")
-    return _s1_bias_preserving(unitary_of(g))
-
-
 def _s1_bias_preserving(u: np.ndarray) -> bool:
-    # No weight from |01>, |10> into |00>, |11>.
+    """The 2-qubit unitary maps span{|01>, |10>} into itself: no weight from
+    |01>, |10> into |00>, |11>. Its 2x2 block there is then unitary, and so
+    is the D' = B D B^-1 it gives each phase-flip generator D in {Z1, Z2,
+    Z1Z2}."""
     return bool(np.abs(u[np.ix_([0, 3], [1, 2])]).max() <= _TOL)
 
 

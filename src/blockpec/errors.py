@@ -25,12 +25,10 @@ class NotZClosed(BlockPecError):
     Carries the offending gate and string so callers can report or absorb it.
     """
 
-    def __init__(self, gate, zstring, message: str | None = None):
+    def __init__(self, gate, zstring):
         self.gate = gate
         self.zstring = zstring
-        if message is None:
-            message = f"conjugation of {zstring} through {gate} is not a Z-string"
-        super().__init__(message)
+        super().__init__(f"conjugation of {zstring} through {gate} is not a Z-string")
 
 
 class SingularChannel(BlockPecError):

@@ -64,7 +64,7 @@ import itertools
 import numpy as np
 
 from .gates import z_sign_vector
-from .noise import ZMixtureChannel, make_dephasing, make_impure
+from .noise import make_dephasing, make_impure
 
 _UNIT_PHASES = (1, -1, 1j, -1j)
 
@@ -299,10 +299,11 @@ def unitary_step(u: np.ndarray, qubits, n: int, density: bool):
     return gather, (tuple((block(r, c), block(cols[r], cols[c])) for r, c in pairs), phase, True)
 
 
-def mixture_step(mix: ZMixtureChannel, n: int):
-    """A broadcast step for a (possibly signed) Z-mixture on a density matrix."""
-    lam = mix.eigenvalues()  # pattern bit i <-> qubit mix.support[i]
-    support, r = mix.support, mix.m
+def mixture_step(support: tuple, lam: np.ndarray, n: int):
+    """A broadcast step for a (possibly signed) Z-mixture on a density matrix:
+    each coherence times the mixture's eigenvalue ``lam`` at its XOR pattern
+    (pattern bit i <-> qubit support[i])."""
+    r = len(support)
     patterns = np.arange(1 << r)
     j = max(0, 2 * r - n - _FACTOR_SLACK)  # looped qubits: support[r-j:]
     rows = np.arange(1 << (r - j))
@@ -325,4 +326,5 @@ def noise_step(tag, qubits, n: int):
     """The forward channel of a (noisy) tag on an op's qubits."""
     if tag.kind == "impure":
         return pauli_channel, (make_impure(tag.p, tag.q), tuple(qubits), n)
-    return mixture_step(make_dephasing(tag, tuple(sorted(qubits))), n)
+    mix = make_dephasing(tag, tuple(sorted(qubits)))
+    return mixture_step(mix.support, mix.eigenvalues(), n)

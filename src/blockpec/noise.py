@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgument, SingularChannel, UnsupportedKind
-from .gates import integer, is_real, natural
+from .gates import integer, is_real
 
 NOISE_KINDS = ("uncorrelated", "correlated", "impure", "none")
 
@@ -156,40 +156,11 @@ class ZMixtureChannel:
         mixture multiplies by exactly 1.0 and it has nothing to draw."""
         return bool(self.coeffs[0] == 1.0 and not self.coeffs[1:].any())
 
-    def coeff(self, local_mask: int) -> float:
-        if natural(local_mask, "local mask") >= len(self.coeffs):
-            raise InvalidArgument(f"local mask {local_mask} out of range for support {self.support}")
-        return float(self.coeffs[local_mask])
-
-    def coeff_for(self, qubits) -> float:
-        """Coefficient of the Z-string on the given (global) qubit subset."""
-        mask = 0
-        index = {q: i for i, q in enumerate(self.support)}
-        for q in qubits:
-            if q not in index:
-                raise InvalidArgument(f"qubit {q} not in support {self.support}")
-            mask |= 1 << index[q]
-        return self.coeff(mask)
-
     def eigenvalues(self) -> np.ndarray:
         return fwht(self.coeffs)
 
-    def total(self) -> float:
-        return float(self.coeffs.sum())
-
     def gamma(self) -> float:
         return float(np.abs(self.coeffs).sum())
-
-    def is_convex(self, tol: float = 1e-12) -> bool:
-        return bool(self.coeffs.min() >= -tol and abs(self.total() - 1.0) <= tol)
-
-    def compose(self, other: "ZMixtureChannel") -> "ZMixtureChannel":
-        """Channel composition (same support): XOR-convolution of coefficients,
-        i.e. a pointwise product of eigenvalues."""
-        if other.support != self.support:
-            raise InvalidArgument("compose requires identical supports")
-        lam = self.eigenvalues() * other.eigenvalues()
-        return ZMixtureChannel(self.support, fwht(lam) / len(lam))
 
 
 def make_dephasing(spec: NoiseSpec, support) -> ZMixtureChannel:
@@ -222,8 +193,8 @@ def make_dephasing(spec: NoiseSpec, support) -> ZMixtureChannel:
 
 def invert_z_mixture(ch: ZMixtureChannel) -> ZMixtureChannel:
     """Exact inverse quasi-distribution: invert the Walsh-Hadamard eigenvalues
-    pointwise and transform back. ch.compose(result) is the identity channel
-    up to floating-point roundoff."""
+    pointwise and transform back, so the two eigenvalues multiply to 1 up to
+    floating-point roundoff."""
     lam = ch.eigenvalues()
     if np.abs(lam).min() < _SINGULAR_TOL:
         raise SingularChannel(

@@ -28,10 +28,6 @@ class PauliZString:
         object.__setattr__(self, "n", n)
 
     @classmethod
-    def identity(cls, n: int) -> "PauliZString":
-        return cls(0, n)
-
-    @classmethod
     def single(cls, n: int, qubit: int) -> "PauliZString":
         return cls(1 << natural(qubit, "qubit"), n)
 
@@ -41,25 +37,6 @@ class PauliZString:
         for q in qubits:
             mask |= 1 << natural(q, "qubit")
         return cls(mask, n)
-
-    def compose(self, other: "PauliZString") -> "PauliZString":
-        if other.n != self.n:
-            raise InvalidArgument("cannot compose strings on different qubit counts")
-        return PauliZString(self.mask ^ other.mask, self.n)
-
-    def __xor__(self, other: "PauliZString") -> "PauliZString":
-        return self.compose(other)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q in range(self.n) if self.mask >> q & 1)
-
-    @property
-    def weight(self) -> int:
-        return bin(self.mask).count("1")
-
-    def is_identity(self) -> bool:
-        return self.mask == 0
 
     def label(self) -> str:
         """Qubit-ordered label, e.g. mask 0b101 on 3 qubits -> 'ZIZ'."""

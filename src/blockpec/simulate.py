@@ -76,12 +76,7 @@ def apply_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np
     if not isinstance(mix, ZMixtureChannel):
         raise InvalidArgument(f"need a ZMixtureChannel, got {mix!r}")
     rho = _copy_in(rho, n, True, mix.support)
-    return run(rho, mixture_step(mix, n))
-
-
-def apply_z_string_density(rho: np.ndarray, mask: int, n: int) -> np.ndarray:
-    rho = _copy_in(rho, n, True)
-    return run(rho, sign_step(natural(mask, "mask"), n, True))
+    return run(rho, mixture_step(mix.support, mix.eigenvalues(), n))
 
 
 # Byte budgets of the per-call compiled steps and of the prefix states the
@@ -115,9 +110,7 @@ class _Program:
         self.per_op: dict = {}
         # Identity corrections multiply by exactly 1.0, so they are left out.
         self.corrections = {
-            seg.stop - 1: seg.coeffs
-            for seg in (plan.segments if plan else ())
-            if not seg.coeffs.is_identity()
+            seg.stop - 1: seg for seg in (plan.segments if plan else ()) if not seg.coeffs.is_identity()
         }
 
     def step(self, key, build):
@@ -144,7 +137,9 @@ class _Program:
             if self.density and tag is not None and not tag.is_noiseless():
                 builds.append(((tag, op.qubits), lambda: noise_step(tag, op.qubits, n)))
             if fix is not None:
-                builds.append(((fix.support, fix.coeffs.tobytes()), lambda: mixture_step(fix, n)))
+                # The plan's eigenvalues: a block's are exact to relative precision.
+                support, lam = fix.coeffs.support, fix.eigenvalues
+                builds.append(((support, lam.tobytes()), lambda: mixture_step(support, lam, n)))
             steps = tuple(self.step(key, build) for key, build in builds)
             if all(key in self.steps for key, _ in builds):
                 self.per_op[i] = steps
@@ -579,7 +574,8 @@ def pec_estimate(
     most 64 MiB of them; deeper restarts re-evolve). Steps per gate (kind,
     angle, qubits), noise channel and drawn string are compiled once per
     call and dropped on return. Every op is applied by the same step as in a
-    from-scratch evolution, so reports do not depend on the walk.
+    from-scratch evolution, so reports do not depend on the walk. A mean or
+    variance that overflows float64 raises GuardExceeded.
     """
     _check_obs(c, obs)
     _check_count("n_samples", n_samples)
@@ -606,8 +602,11 @@ def pec_estimate(
         # perturb the last bit, so report the exact value directly.
         mean, variance = float(values[0]), 0.0
     else:
-        mean = float(np.mean(values))
-        variance = float(np.var(values, ddof=1)) if n_samples > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(np.mean(values))
+            variance = float(np.var(values, ddof=1)) if n_samples > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(variance)):
+        raise GuardExceeded(f"the estimate overflows float64 at gamma = {gamma_total:.3g}")
     return EstimatorReport(
         mean=mean,
         sample_variance=variance,
@@ -620,7 +619,8 @@ def pec_estimate(
 
 def required_samples(gamma: float, delta: float, epsilon: float) -> int:
     """Hoeffding budget: smallest S with failure probability <= epsilon at
-    precision delta, S = ceil(gamma^2 / (2 delta^2) * ln(2/epsilon))."""
+    precision delta, S = ceil(gamma^2 / (2 delta^2) * ln(2/epsilon)), or
+    GuardExceeded when S is not a finite float64."""
     for name, value in (("gamma", gamma), ("delta", delta), ("epsilon", epsilon)):
         if not is_real(value):
             raise InvalidArgument(f"{name} must be a real number, got {value!r}")
@@ -630,4 +630,8 @@ def required_samples(gamma: float, delta: float, epsilon: float) -> int:
         raise InvalidArgument(f"delta must be finite and > 0, got {delta}")
     if not 0.0 < epsilon <= 2.0:
         raise InvalidArgument(f"epsilon must lie in (0, 2], got {epsilon}")
-    return int(math.ceil(gamma * gamma / (2.0 * delta * delta) * math.log(2.0 / epsilon)))
+    denominator = 2.0 * delta * delta
+    budget = gamma * gamma / denominator * math.log(2.0 / epsilon) if denominator else math.inf
+    if not math.isfinite(budget):
+        raise GuardExceeded(f"the Hoeffding budget is {budget}, not a finite float64")
+    return int(math.ceil(budget))

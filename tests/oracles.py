@@ -22,9 +22,10 @@ row of per-op masks built in a samples x ops array, and its sign product.
 distinct row of drawn masks evolved on its own from the all-zeros state.
 
 The simulator's reference kernels contract every gate with ``np.tensordot``,
-apply every Z-mixture through a 2^n x 2^n coherence-factor table gathered
-from a 4^n XOR-pattern index, and apply impure noise as the sum of its
-weighted ``PAULI_1Q`` conjugations, each contracted with ``np.tensordot``.
+apply every Z-mixture, or a plan correction's carried eigenvalues, through a
+2^n x 2^n coherence-factor table gathered from a 4^n XOR-pattern index, and
+apply impure noise as the sum of its weighted ``PAULI_1Q`` conjugations, each
+contracted with ``np.tensordot``.
 ``reference_noisy_density``, ``reference_exact_mitigated`` and
 ``reference_ideal_state`` are the exact evolutions built from them alone.
 """
@@ -35,11 +36,7 @@ from functools import reduce
 
 import numpy as np
 
-from blockpec.blocks import (
-    block_coefficients,
-    hybrid_plan,
-    layer_distribution,
-)
+from blockpec.blocks import layer_distribution, mitigation_plan
 from blockpec.circuits import Circuit
 from blockpec.conjugation import PASS_THROUGH_KINDS
 from blockpec.errors import GuardExceeded, NotZClosed
@@ -263,17 +260,17 @@ def local_pattern_table(support, n: int) -> np.ndarray:
     return table
 
 
-def coherence_factors(mix: ZMixtureChannel, n: int) -> np.ndarray:
-    """The mixture's Walsh-Hadamard eigenvalue at each coherence's XOR
-    pattern (2^n x 2^n)."""
-    lam_local = mix.eigenvalues()
-    table = local_pattern_table(mix.support, n)
+def coherence_factors(support, lam_local: np.ndarray, n: int) -> np.ndarray:
+    """The eigenvalue ``lam_local`` (pattern bit i <-> qubit support[i]) at
+    each coherence's XOR pattern (2^n x 2^n)."""
+    table = local_pattern_table(support, n)
     idx = np.arange(1 << n)
     return lam_local[table[idx[:, None] ^ idx[None, :]]]
 
 
 def table_z_mixture_density(rho: np.ndarray, mix: ZMixtureChannel, n: int) -> np.ndarray:
-    return rho * coherence_factors(mix, n)
+    """The mixture through the Walsh-Hadamard transform of its coefficients."""
+    return rho * coherence_factors(mix.support, mix.eigenvalues(), n)
 
 
 def z_sign_matrix(mask: int, n: int) -> np.ndarray:
@@ -334,15 +331,13 @@ def reference_exact_mitigated(c: Circuit, obs: Observable, mode: str) -> float:
             if tag is not None and not tag.is_noiseless():
                 rho = table_z_mixture_density(rho, layer_distribution(op, tag), c.n)
         return obs.expectation_density(rho)
-    if mode == "blk":
-        coeffs = block_coefficients(c)
-        rho = table_z_mixture_density(reference_noisy_density(c), coeffs, c.n)
-        return obs.expectation_density(rho)
+    # blk and hybrid: each segment's correction from the eigenvalues the plan
+    # carries, which for a block are not the transform of its coefficients.
     rho = _zero_density(c.n)
-    for seg in hybrid_plan(c).segments:
+    for seg in mitigation_plan(c, mode).segments:
         for i in range(seg.start, seg.stop):
             rho = _reference_op(rho, c.ops[i], c.noise_tags[i], c.n)
-        rho = table_z_mixture_density(rho, seg.coeffs, c.n)
+        rho = rho * coherence_factors(seg.coeffs.support, seg.eigenvalues, c.n)
     return obs.expectation_density(rho)
 
 

@@ -7,13 +7,12 @@ import time
 import numpy as np
 import pytest
 from conftest import EXACT_KINDS, random_circuit
-from oracles import dense, forward_block_coefficients, naive_block_coefficients
+from oracles import dense, forward_block_coefficients, forward_effective_noise, naive_block_coefficients
 
 from blockpec.blocks import (
     MitigationPlan,
     analytic_pattern_gammas,
     block_coefficients,
-    effective_noise,
     gamma_blk,
     gamma_std,
     hybrid_plan,
@@ -30,7 +29,7 @@ from blockpec.errors import (
 )
 from blockpec.gates import GateOp
 from blockpec.generators import gen_option_payoff
-from blockpec.noise import NoiseSpec, invert_z_mixture
+from blockpec.noise import NoiseSpec, fwht, invert_z_mixture
 from blockpec.pauli import PauliZString
 
 P01 = NoiseSpec("uncorrelated", 0.1)
@@ -69,7 +68,7 @@ def test_single_gate_block_equals_layer():
         b.coeffs, [1.265625, -0.140625, -0.140625, 0.015625], atol=1e-12
     )
     assert b.gamma() == pytest.approx(gamma_std(c))
-    assert b.total() == pytest.approx(1.0)
+    assert b.coeffs.sum() == pytest.approx(1.0)
 
 
 def test_closed_form_pins_at_p01():
@@ -111,7 +110,7 @@ def test_three_way_oracle_agreement():
         c = random_circuit(rng, n, depth).with_noise(spec)
         recursive = dense(block_coefficients(c), n)
         naive = naive_block_coefficients(c).coeffs
-        via_effective = dense(invert_z_mixture(effective_noise(c)), n)
+        via_effective = invert_z_mixture(forward_effective_noise(c)).coeffs
         forward = forward_block_coefficients(c).coeffs
         scale = max(1.0, float(np.abs(recursive).max()))
         assert np.abs(recursive - naive).max() < 1e-12 * scale
@@ -298,12 +297,15 @@ def test_analytic_pattern_errors():
 
 
 def test_effective_noise_is_convex_channel():
+    # The blk segment carries the inverse's eigenvalues; their reciprocals
+    # transform back to the effective noise, a convex Z-mixture.
     rng = np.random.default_rng(61)
     for _ in range(10):
         c = random_circuit(rng, 3, 4, EXACT_KINDS).with_noise(P01)
-        eff = effective_noise(c)
-        assert eff.is_convex()
-        assert eff.total() == pytest.approx(1.0, abs=1e-12)
+        (seg,) = mitigation_plan(c, "blk").segments
+        eff = fwht(1.0 / seg.eigenvalues) / len(seg.eigenvalues)
+        assert eff.min() >= -1e-12
+        assert eff.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cost_scales_subquadratically_in_depth():

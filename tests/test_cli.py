@@ -17,7 +17,7 @@ from blockpec.circuits import save_circuit
 from blockpec.cli import main
 from blockpec.errors import SingularChannel
 from blockpec.experiments import CSV_HEADER
-from blockpec.generators import gen_option_payoff
+from blockpec.generators import gen_option_payoff, gen_swap_network
 from blockpec.noise import NoiseSpec
 from blockpec.simulate import Observable, ideal_expectation
 
@@ -95,6 +95,18 @@ def test_estimate_output_and_determinism(diag_circuit, capsys):
     shot_out = json.loads(capsys.readouterr().out)
     assert shot_out["mode"] == "blk"
     assert shot_out["mean"] != out["mean"]
+
+
+def test_estimate_exits_2_when_the_variance_overflows(tmp_path, capsys):
+    # gamma 8.1e171: the squared deviations overflow float64. An error that
+    # escaped main, or a numpy overflow warning (an error under this suite's
+    # warning filter), would fail the call itself.
+    path = str(tmp_path / "swap.txt")
+    save_circuit(gen_swap_network(4, 12.0, "rzz", 0), path)
+    argv = ["estimate", path, "--samples", "20", "--seed", "1", "--mode", "blk"]
+    assert main(argv + ["--noise", '{"kind":"uncorrelated","p":0.3}']) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error:")
 
 
 def test_estimate_payoff_uses_ancilla_projector(tmp_path, capsys):

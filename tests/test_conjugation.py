@@ -41,7 +41,7 @@ def test_identity_string_passes_any_gate():
     for kind in GATE_KINDS:
         arity, takes_angle = GATE_KINDS[kind]
         g = GateOp(kind, tuple(range(arity)), 0.3 if takes_angle else None)
-        s = PauliZString.identity(3)
+        s = PauliZString(0, 3)
         assert conjugate_z_string(g, s) == s
 
 

@@ -8,41 +8,16 @@ from blockpec.pauli import PauliZString
 
 
 def test_constructors():
-    assert PauliZString.identity(3).mask == 0
     assert PauliZString.single(4, 2).mask == 0b0100
     assert PauliZString.from_qubits(5, (0, 3)).mask == 0b01001
-    assert PauliZString.from_qubits(5, ()).is_identity()
+    assert PauliZString.from_qubits(5, ()).mask == 0
 
 
-def test_compose_is_xor():
-    a = PauliZString(0b0110, 4)
-    b = PauliZString(0b0011, 4)
-    assert a.compose(b).mask == 0b0101
-    assert (a ^ b) == a.compose(b)
-
-
-def test_group_closure_and_self_inverse():
-    n = 5
-    rng = np.random.default_rng(11)
-    identity = PauliZString.identity(n)
-    for _ in range(200):
-        a = PauliZString(int(rng.integers(1 << n)), n)
-        b = PauliZString(int(rng.integers(1 << n)), n)
-        c = a ^ b
-        assert 0 <= c.mask < (1 << n)
-        assert (a ^ a) == identity
-        assert (a ^ identity) == a
-        assert (a ^ b) == (b ^ a)
-
-
-def test_support_weight_label():
+def test_label():
     s = PauliZString(0b101, 3)
-    assert s.support == (0, 2)
-    assert s.weight == 2
     assert s.label() == "ZIZ"
     assert str(s) == "ZIZ"
-    assert PauliZString.identity(2).label() == "II"
-    assert not s.is_identity()
+    assert PauliZString(0, 2).label() == "II"
 
 
 def test_invalid_domains():
@@ -52,8 +27,6 @@ def test_invalid_domains():
         PauliZString(-1, 2)
     with pytest.raises(InvalidArgument):
         PauliZString(4, 2)
-    with pytest.raises(InvalidArgument):
-        PauliZString(0, 2) ^ PauliZString(0, 3)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +40,7 @@ def test_mask_and_qubit_count_must_be_integers(mask, n):
 def test_numpy_integers_are_stored_as_ints():
     s = PauliZString(np.int64(5), np.int32(3))
     assert (s.mask, s.n) == (5, 3) and type(s.mask) is int and type(s.n) is int
-    assert s.support == (0, 2)
+    assert s.label() == "ZIZ"
 
 
 @pytest.mark.parametrize(

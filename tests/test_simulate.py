@@ -10,7 +10,7 @@ from conftest import EXACT_KINDS, random_circuit
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockpec.blocks import gamma_blk, gamma_std, layer_distribution
+from blockpec.blocks import gamma_blk, gamma_std, layer_distribution, mitigation_plan
 from blockpec.circuits import Circuit, parse_circuit
 from blockpec.errors import (
     GuardExceeded,
@@ -20,7 +20,8 @@ from blockpec.errors import (
     UnsupportedKind,
 )
 from blockpec.gates import GATE_KINDS, GateOp, unitary_of
-from blockpec.noise import NoiseSpec, make_dephasing
+from blockpec.generators import gen_rbs_pyramid, gen_swap_network
+from blockpec.noise import NoiseSpec, ZMixtureChannel, make_dephasing
 from blockpec.pauli import PauliZString
 from blockpec import simulate
 from blockpec.simulate import (
@@ -28,7 +29,6 @@ from blockpec.simulate import (
     apply_unitary_density,
     apply_unitary_state,
     apply_z_mixture_density,
-    apply_z_string_density,
     exact_mitigated_expectation,
     ideal_expectation,
     noisy_expectation,
@@ -276,8 +276,9 @@ def test_tuple_enumeration_matches_distributive_sum():
             for op, mix, control in zip(c.ops, mixes, (m1, m2)):
                 rho = apply_unitary_density(rho, unitary_of(op), op.qubits, 2)
                 rho = apply_z_mixture_density(rho, mix, 2)
-                rho = apply_z_string_density(rho, control, 2)
-            weight = dists[0].coeff(m1) * dists[1].coeff(m2)
+                # The control string, as a mixture with one unit coefficient.
+                rho = apply_z_mixture_density(rho, ZMixtureChannel((0, 1), np.eye(4)[control]), 2)
+            weight = dists[0].coeffs[m1] * dists[1].coeffs[m2]
             total += weight * obs.expectation_density(rho)
     ideal = ideal_expectation(Circuit(2, c.ops), obs)
     assert total == pytest.approx(ideal, abs=1e-12)
@@ -443,6 +444,24 @@ def test_required_samples_refuses_non_finite_inputs(gamma, delta):
 
 
 @pytest.mark.parametrize(
+    "args", [(1.0, 1e-200, 0.05), (1e300, 1e-5, 0.05), (1.0, 0.05, 1e-320)],
+    ids=["delta-squared-underflows", "gamma-squared-overflows", "log-overflows"],
+)
+def test_required_samples_refuses_a_budget_that_is_not_finite(args):
+    with pytest.raises(GuardExceeded, match="not a finite"):
+        required_samples(*args)
+
+
+def test_pec_estimate_refuses_a_variance_that_overflows():
+    """At gamma = 8.1e171 the squared deviations overflow float64: a typed
+    error, with no numpy overflow warning (which this suite makes an error)."""
+    c = gen_swap_network(4, 12.0, "rzz", 0).with_noise(NoiseSpec("uncorrelated", 0.3))
+    assert mitigation_plan(c, "blk").total_gamma > 1e171
+    with pytest.raises(GuardExceeded, match="overflows float64"):
+        pec_estimate(c, Observable.z(4, 0), "blk", 20, 1)
+
+
+@pytest.mark.parametrize(
     "make",
     [
         lambda: Observable.z(3, -1),
@@ -572,7 +591,6 @@ BAD_WRAPPER_CALLS = {
     "density-shape": lambda: apply_unitary_density(np.eye(4), H_MAT, (0,), 3),
     "fractional-n": lambda: apply_unitary_state(np.ones(8), H_MAT, (0,), 3.0),
     "not-a-mixture": lambda: apply_z_mixture_density(np.eye(8), "dephasing", 3),
-    "fractional-mask": lambda: apply_z_string_density(np.eye(8), 1.5, 3),
 }
 
 
@@ -619,6 +637,60 @@ def test_exact_modes_cancel_noise_that_moves_the_expectation():
     draw()
     assert sum(gap > 1e-6 for gap in gaps) >= len(gaps) / 2, gaps
     assert max(errors) <= 1e-10, max(errors)
+
+
+@st.composite
+def large_gamma_cases(draw):
+    """An H layer, a Z-closed core (an rzz swap network of depth factor 1 or
+    2, or 2n-5n random ops of EXACT_KINDS) on 4-10 qubits, another H layer,
+    dephasing of either kind at p in [0.05, 0.2], and Z on one qubit."""
+    n = draw(st.integers(4, 10))
+    if draw(st.booleans()):
+        depth_factor, seed = draw(st.sampled_from((1.0, 2.0))), draw(st.integers(0, 3))
+        core = list(gen_swap_network(n, depth_factor, "rzz", seed).ops)
+    else:
+        core = []
+        for _ in range(draw(st.integers(2 * n, 5 * n))):
+            kind = draw(st.sampled_from(EXACT_KINDS))
+            arity, takes_angle = GATE_KINDS[kind]
+            qubits = tuple(draw(st.permutations(range(n)))[:arity])
+            core.append(GateOp(kind, qubits, draw(st.floats(0.0, 2.0 * math.pi)) if takes_angle else None))
+    layer = [GateOp("H", (q,)) for q in range(n)]
+    kind = draw(st.sampled_from(("uncorrelated", "correlated")))
+    c = Circuit(n, tuple(layer + core + layer)).with_noise(NoiseSpec(kind, draw(st.floats(0.05, 0.2))))
+    return c, Observable.z(n, draw(st.integers(0, n - 1)))
+
+
+def test_exact_hybrid_cancels_noise_at_large_block_gamma():
+    """The block correction's eigenvalues come from the cost engine, exact to
+    relative precision; recovered from coefficients whose L1 norm is gamma
+    they would err by about 1e-17 gamma, which is visible past gamma = 1e7."""
+    errors, gammas = [], []
+
+    @settings(max_examples=16, deadline=None, derandomize=True, database=None)
+    @given(large_gamma_cases())
+    def draw(case):
+        c, obs = case
+        gammas.append(max(seg.gamma for seg in mitigation_plan(c, "hybrid").segments))
+        errors.append(abs(exact_mitigated_expectation(c, obs, "hybrid") - ideal_expectation(c, obs)))
+
+    draw()
+    assert max(gammas) > 1e15, gammas
+    assert max(errors) <= 1e-10, max(errors)
+
+
+def test_exact_block_modes_cancel_noise_on_a_deep_pyramid():
+    """rbs_pyramid(10) at p = 0.1 is one block of gamma 3.3e18. Its noise
+    leaves Z on the last qubit at the ideal value, so a correct block
+    correction must too; one recovered from the coefficients moved it by 3.7,
+    past the observable's norm."""
+    c = gen_rbs_pyramid(10, seed=17).with_noise(P01)
+    obs = Observable.z(10, 9)
+    ideal = ideal_expectation(c, obs)
+    assert abs(noisy_expectation(c, obs) - ideal) <= 1e-10
+    for mode in ("blk", "hybrid"):
+        assert mitigation_plan(c, mode).total_gamma > 1e18
+        assert abs(exact_mitigated_expectation(c, obs, mode) - ideal) <= 1e-10, mode
 
 
 def test_hybrid_estimate_cancels_visible_noise_within_hoeffding():

@@ -27,7 +27,6 @@ from blockpec.simulate import (
     apply_unitary_density,
     apply_unitary_state,
     apply_z_mixture_density,
-    apply_z_string_density,
     exact_mitigated_expectation,
     noisy_expectation,
     pec_estimate,
@@ -57,7 +56,6 @@ def test_wrappers_leave_their_inputs_unchanged(case, seed):
         check = _unchanged(rho, psi, u)
         apply_unitary_state(psi, u, op.qubits, n)
         apply_unitary_density(rho, u, op.qubits, n)
-        apply_z_string_density(rho, int(rng.integers(1 << n)), n)
         if tag is not None and tag.kind in ("uncorrelated", "correlated"):
             mix = make_dephasing(tag, tuple(sorted(op.qubits)))
             check_mix = _unchanged(mix.coeffs)

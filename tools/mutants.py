@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Which tier-1 tests kill four hand-written mutants of the mitigation code.
+"""Which tier-1 tests kill five hand-written mutants of the mitigation code.
 
 Run from the repository root:
 
@@ -33,13 +33,13 @@ MUTANTS = {
         "block corrections are the identity, gamma kept",
         [(
             BLOCKS,
-            'PlanSegment("block", *run, mix.gamma(), mix)',
-            'PlanSegment("block", *run, mix.gamma(), ZMixtureChannel.identity(mix.support))',
+            'PlanSegment("block", *run, mix.gamma(), mix, lam)',
+            'PlanSegment("block", *run, mix.gamma(), ZMixtureChannel.identity(mix.support), np.ones_like(lam))',
         )],
     ),
     "M2": (
         "block corrections are the forward channel",
-        [(BLOCKS, "mixes = _walsh_engine(c, runs, tables, -1.0)", "mixes = _walsh_engine(c, runs, tables, 1.0)")],
+        [(BLOCKS, "eigs = np.exp(-fwht(hist.reshape(-1, size)))", "eigs = np.exp(fwht(hist.reshape(-1, size)))")],
     ),
     "M3": (
         "per-gate corrections are the identity, gamma kept",
@@ -52,6 +52,10 @@ MUTANTS = {
     "M4": (
         "estimator sign products are dropped",
         [(SIMULATE, "            signs *= sign[drawn]\n", "            pass\n")],
+    ),
+    "M5": (
+        "exact corrections recover eigenvalues from coefficients",
+        [(SIMULATE, "fix.coeffs.support, fix.eigenvalues", "fix.coeffs.support, fix.coeffs.eigenvalues()")],
     ),
 }
 
