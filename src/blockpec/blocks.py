@@ -60,13 +60,15 @@ def _finite(value: float, what: str) -> float:
 
 class _GateTables:
     """What the engines need from each distinct gate and noise tag, derived
-    once per public call: local generator images per (kind, angle) and, per
-    (NoiseSpec, arity), the layer inverse with its gamma and the local Walsh
-    expansion of the noise's log-eigenvalues. Nothing outlives the call."""
+    once per public call: local generator images per (kind, angle), per
+    (NoiseSpec, arity) the layer inverse with its gamma and the local Walsh
+    expansion of the noise's log-eigenvalues, and per (kind, angle, tag) a
+    block walk's step. Nothing outlives the call."""
 
     def __init__(self):
         self._images: dict = {}
         self._noise: dict = {}
+        self._steps: dict = {}
         self._layouts: dict = {}
 
     def images(self, op: GateOp) -> tuple[int | None, ...]:
@@ -89,15 +91,33 @@ class _GateTables:
         strings u of the forward channel (local bit i = i-th qubit of the
         sorted support), so that log lambda(t) = sum_u g(u) (-1)^{|u & t|},
         or None when noiseless, and the coefficients' eigenvalues."""
-        key = (spec, op.arity)
-        if key not in self._noise:
+        key = (spec, len(op.qubits))
+        entry = self._noise.get(key)
+        if entry is None:
             dist = layer_distribution(op, spec)
             g_hat = None
             if spec is not None and not spec.is_noiseless():
                 lam = make_dephasing(spec, range(op.arity)).eigenvalues()
                 g_hat = fwht(np.log(lam)) / len(lam)
-            self._noise[key] = (dist.coeffs, dist.gamma(), g_hat, dist.eigenvalues())
-        return self._noise[key]
+            entry = self._noise[key] = (dist.coeffs, dist.gamma(), g_hat, dist.eigenvalues())
+        return entry
+
+    def steps(self, c: Circuit, start: int, stop: int) -> list[tuple]:
+        """Per op of c.ops[start:stop]: its images and its noise's g (the
+        third entry of ``noise``), from one lookup per (kind, angle, tag).
+        Raises NotZClosed at the first op that leaves the Z-string group,
+        before that op's noise is priced."""
+        steps, known = [], self._steps
+        for op, tag in zip(c.ops[start:stop], c.noise_tags[start:stop]):
+            key = (op.kind, op.angle, tag)
+            step = known.get(key)
+            if step is None:
+                images = self.images(op)
+                if None in images:
+                    raise NotZClosed(op, PauliZString.single(c.n, op.qubits[images.index(None)]))
+                step = known[key] = (images, self.noise(op, tag)[2])
+            steps.append(step)
+        return steps
 
     def layout(self, local: tuple, m: int) -> tuple:
         """Per span basis ``local`` on m qubits: the local mask of each span
@@ -114,14 +134,6 @@ class _GateTables:
                 pattern = np.concatenate([pattern, pattern ^ column])
             self._layouts[key] = index, pattern
         return self._layouts[key]
-
-
-def _xor_of(rows, local_mask: int) -> int:
-    out = 0
-    for b, row in enumerate(rows):
-        if local_mask >> b & 1:
-            out ^= row
-    return out
 
 
 def _span_basis(rows) -> list[int]:
@@ -149,24 +161,23 @@ def _block_span(c: Circuit, start: int, stop: int, tables: _GateTables) -> tuple
     the local index of each span basis row, the support, and per arity m
     the span coordinates of the noisy ops' pushed masks (m per op, of its
     sorted qubits, flat) with each op's Walsh weights."""
-    ops = c.ops[start:stop]
-    compiled = []
-    for op, tag in zip(ops, c.noise_tags[start:stop]):
-        images = tables.images(op)
-        if None in images:
-            raise NotZClosed(op, PauliZString.single(c.n, op.qubits[images.index(None)]))
-        compiled.append((images, tables.noise(op, tag)[2]))
+    steps = tables.steps(c, start, stop)
     pushed = [1 << q for q in range(c.n)]
     rows_by_arity: dict[int, tuple[list, list]] = {}
-    for op, (images, g_hat) in zip(reversed(ops), reversed(compiled)):
+    for op, (images, g_hat) in zip(reversed(c.ops[start:stop]), reversed(steps)):
+        qubits = op.qubits
         if g_hat is not None:
-            rows, weights = rows_by_arity.setdefault(op.arity, ([], []))
-            rows.extend(pushed[q] for q in sorted(op.qubits))
+            rows, weights = rows_by_arity.setdefault(len(qubits), ([], []))
+            rows += [pushed[q] for q in sorted(qubits)]
             weights.append(g_hat)
         if images:
-            before = [pushed[q] for q in op.qubits]
-            for q, image in zip(op.qubits, images):
-                pushed[q] = _xor_of(before, image)
+            # Only two-qubit kinds move a generator and stay Z-closed: a
+            # one-qubit image is always the generator, and TOFFOLI's target
+            # leaves the group. Image bit i selects pushed[qubits[i]].
+            (a, b), (image_a, image_b) = qubits, images
+            pa, pb = pushed[a], pushed[b]
+            pushed[a] = (pa if image_a & 1 else 0) ^ (pb if image_a & 2 else 0)
+            pushed[b] = (pa if image_b & 1 else 0) ^ (pb if image_b & 2 else 0)
     masks = {mask for rows, _ in rows_by_arity.values() for mask in rows}
     basis = _span_basis(masks)
     reach = 0
@@ -200,7 +211,8 @@ def _walsh_engine(c: Circuit, runs, tables: _GateTables) -> list[tuple]:
     the pushed rows, so the histogram and both transforms live on the 2^r
     coordinates of that span. The result is scattered into the 2^m local
     vector of the m qubits the span's masks touch (r <= m <= the qubits the
-    ops touch); masks outside the span stay exactly 0. The eigenvalues are
+    ops touch); masks outside the span stay exactly 0. At r = m the span is
+    every local mask and the rows are used as they are. The eigenvalues are
     the exponentials, exact to relative precision; the transform of the
     coefficients has an absolute error that grows with gamma.
 
@@ -242,10 +254,14 @@ def _walsh_engine(c: Circuit, runs, tables: _GateTables) -> list[tuple]:
             raise GuardExceeded("block coefficients overflow float64")
         for k, row, lam in zip(members, coeffs, eigs):
             local, support, _ = spans[k]
-            index, pattern = tables.layout(local, len(support))
-            vec = np.zeros(1 << len(support))
-            vec[index] = row
-            out[k] = (ZMixtureChannel(support, vec), lam[pattern])
+            # At full rank the reduced basis is the unit vectors, so the span
+            # coordinates are the local masks and the layout is the identity.
+            if rank < len(support):
+                index, pattern = tables.layout(local, len(support))
+                vec = np.zeros(1 << len(support))
+                vec[index] = row
+                row, lam = vec, lam[pattern]
+            out[k] = (ZMixtureChannel(support, row), lam)
     if failure is not None:
         raise failure
     return out
@@ -292,6 +308,15 @@ class PlanSegment:
     gamma: float
     coeffs: ZMixtureChannel
     eigenvalues: np.ndarray  # of coeffs: a block's from _walsh_engine, else fwht(coeffs)
+
+    def __eq__(self, other):
+        """Value equality over every field, the eigenvalues compared
+        elementwise."""
+        if not isinstance(other, PlanSegment):
+            return NotImplemented
+        return (self.kind, self.start, self.stop, self.gamma, self.coeffs) == (
+            other.kind, other.start, other.stop, other.gamma, other.coeffs
+        ) and np.array_equal(self.eigenvalues, other.eigenvalues)
 
 
 @dataclass(frozen=True)

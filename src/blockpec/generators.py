@@ -37,11 +37,15 @@ def rbs_sequence(j: int, k: int, theta: float) -> list[GateOp]:
     """Three-gate compiled form of a beam-splitter interaction on (j, k):
     CNOT, then an X-controlled Z rotation, then CNOT again. Up to a global
     phase it is exp(i(theta/4)(Y(x)Y + Z(x)Z)), which mixes |00>, |11> too."""
-    return [
-        GateOp("CNOT", (j, k)),
-        GateOp("XCZ", (j, k), theta),
-        GateOp("CNOT", (j, k)),
-    ]
+    cnot = GateOp("CNOT", (j, k))
+    return [cnot, GateOp("XCZ", (j, k), theta), cnot]
+
+
+def _reangled(template: list[GateOp], theta: float) -> list[GateOp]:
+    """``template`` with ``theta`` as the angle of each gate that takes one;
+    the angle-free gates are the template's own (frozen) objects, so a
+    generator builds each of them once per call."""
+    return [op if op.angle is None else GateOp(op.kind, op.qubits, theta) for op in template]
 
 
 def _angles(angles, count: int, family: str, n: int) -> list[float]:
@@ -108,15 +112,16 @@ def gen_swap_network(
     if not (is_real(depth_factor) and math.isfinite(depth_factor) and depth_factor > 0):
         raise InvalidArgument(f"depth_factor must be a finite positive number, got {depth_factor!r}")
     rng = _rng(seed, "swap_network")
+    swaps = [_swap_sequence(i, i + 1, decompose_swap) for i in range(n - 1)]
+    if interaction == "rzz":
+        pairs = [[GateOp("RZZ", (i, i + 1), 0.0)] for i in range(n - 1)]
+    else:
+        pairs = [rbs_sequence(i, i + 1, 0.0) for i in range(n - 1)]
     ops = []
     for layer in range(int(round(depth_factor * n))):
         for i in range(layer % 2, n - 1, 2):
-            theta = float(rng.uniform(0.0, _TWO_PI))
-            if interaction == "rzz":
-                ops.append(GateOp("RZZ", (i, i + 1), theta))
-            else:
-                ops.extend(rbs_sequence(i, i + 1, theta))
-            ops.extend(_swap_sequence(i, i + 1, decompose_swap))
+            ops += _reangled(pairs[i], float(rng.uniform(0.0, _TWO_PI)))
+            ops += swaps[i]
     meta = {
         "family": "swap_network",
         "n": n,
@@ -151,9 +156,10 @@ def gen_rbs_pyramid(n: int, angles=None, seed: int | None = None) -> Circuit:
         rng = _rng(seed, "rbs_pyramid")
         angles = [float(rng.uniform(0.0, _TWO_PI)) for _ in pairs]
     angles = _angles(angles, len(pairs), "rbs_pyramid", n)
+    templates = [rbs_sequence(j, j + 1, 0.0) for j in range(n - 1)]
     ops = [GateOp("X", (0,))]
-    for (j, k), theta in zip(pairs, angles):
-        ops.extend(rbs_sequence(j, k, theta))
+    for (j, _), theta in zip(pairs, angles):
+        ops += _reangled(templates[j], theta)
     meta = {"family": "rbs_pyramid", "n": n, "prng": PRNG_NAME}
     if seed is not None:
         meta["seed"] = integer(seed, "seed")

@@ -27,18 +27,26 @@ _SINGULAR_TOL = 1e-12
 def fwht(v: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform along the last axis with the (-1)^{|a & b|}
     kernel (natural ordering), unnormalized: applying it twice multiplies by
-    the axis length. Every row gets the same butterflies as on its own."""
+    the axis length. Every row gets the same butterflies as on its own.
+
+    Constant-geometry form (Pease): each stage reads the even and odd
+    entries, writes their sums and differences as the two contiguous halves
+    of the other of two buffers, and so rotates the index bits right by one.
+    Stage k therefore pairs the entries whose input indices differ in bit k,
+    the even one first, which is the in-place radix-2 order h = 1, 2, 4, ...:
+    every output is bitwise what that order gives, and after log2(size)
+    stages the order is natural again."""
     out = np.array(v, dtype=float, copy=True)
     size = out.shape[-1] if out.ndim else 0
     if not out.ndim or size & (size - 1):
         raise InvalidArgument(f"length {size} is not a power of two")
-    h = 1
-    while h < size:
-        blocks = out.reshape(*out.shape[:-1], -1, 2 * h)
-        lo, hi = blocks[..., :h].copy(), blocks[..., h:].copy()
-        blocks[..., :h] = lo + hi
-        blocks[..., h:] = lo - hi
-        h *= 2
+    half = size // 2
+    spare = np.empty_like(out)
+    for _ in range(half.bit_length()):
+        even, odd = out[..., 0::2], out[..., 1::2]
+        np.add(even, odd, out=spare[..., :half])
+        np.subtract(even, odd, out=spare[..., half:])
+        out, spare = spare, out
     return out
 
 
@@ -131,6 +139,12 @@ class ZMixtureChannel:
             raise InvalidArgument(f"coefficients must be finite, got {coeffs}")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        """Value equality: the same support and equal coefficients."""
+        if not isinstance(other, ZMixtureChannel):
+            return NotImplemented
+        return self.support == other.support and np.array_equal(self.coeffs, other.coeffs)
 
     @classmethod
     def identity(cls, support=()) -> "ZMixtureChannel":

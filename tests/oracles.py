@@ -16,6 +16,8 @@ rule; the forward and naive routes push masks with them.
 ``all_strings_z_compatible`` checks Z-closure on every local Z-string of a
 gate instead of on its generators only.
 ``xcz_kron_unitary`` builds the XCZ matrix from two Kronecker products.
+``radix2_fwht`` is the in-place radix-2 Walsh-Hadamard transform, one
+butterfly stage at a time; the library's transform must equal it bitwise.
 ``reference_pec_samples`` is the estimator's per-sample draw: every sample's
 row of per-op masks built in a samples x ops array, and its sign product.
 ``reference_pec_outcomes`` is the estimator's per-trajectory route: every
@@ -61,6 +63,21 @@ PAULI_1Q = {
 
 
 _NAIVE_GUARD = 16
+
+
+def radix2_fwht(v: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform along the last axis, stages h = 1, 2, 4, ...
+    in place: each stage replaces every pair (lo, hi) h apart by (lo + hi,
+    lo - hi)."""
+    out = np.array(v, dtype=float, copy=True)
+    h = 1
+    while h < out.shape[-1]:
+        blocks = out.reshape(*out.shape[:-1], -1, 2 * h)
+        lo, hi = blocks[..., :h].copy(), blocks[..., h:].copy()
+        blocks[..., :h] = lo + hi
+        blocks[..., h:] = lo - hi
+        h *= 2
+    return out
 
 
 def _support_mask(op: GateOp) -> int:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
@@ -203,6 +204,23 @@ def test_hybrid_plan_mixed_circuit():
     assert [seg["type"] for seg in doc["segments"]] == ["block", "per_gate", "block"]
     assert doc["segments"][0]["op_range"] == [0, 1]
     assert all(v != 0.0 for seg in doc["segments"] for _, v in seg["coeffs"])
+
+
+def test_plans_compare_by_value():
+    c = Circuit(
+        2, (GateOp("CNOT", (0, 1)), GateOp("H", (0,)), GateOp("CNOT", (0, 1)))
+    ).with_noise(P01)
+    for mode in ("std", "hybrid"):  # blk refuses the H
+        assert mitigation_plan(c, mode) == mitigation_plan(c, mode)
+    plan = hybrid_plan(c)
+    assert plan.segments == hybrid_plan(c).segments
+    assert plan != mitigation_plan(c, "std")
+    assert plan != hybrid_plan(c.with_noise(NoiseSpec("uncorrelated", 0.2)))
+    block = plan.segments[0]
+    assert block != dataclasses.replace(block, eigenvalues=2.0 * block.eigenvalues)
+    assert block != dataclasses.replace(block, start=1)
+    assert block != plan.segments[2] and block != plan.segments[1]
+    assert plan != "plan" and plan != plan.segments and block != 1.5625
 
 
 def test_hybrid_plan_degenerate_cases():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from blockpec.blocks import gamma_blk, gamma_std
 from blockpec.circuits import serialize_circuit
 from blockpec.classify import classify_circuit
 from blockpec.errors import DegenerateVector, InvalidArgument
+from blockpec.experiments import build_family_circuit
 from blockpec.gates import unitary_of
 from blockpec.generators import (
     PRNG_NAME,
@@ -43,6 +45,28 @@ def test_generators_deterministic():
     for build in builders:
         assert serialize_circuit(build(7)) == serialize_circuit(build(7))
         assert serialize_circuit(build(7)) != serialize_circuit(build(8))
+
+
+def test_generated_circuits_are_pinned_byte_for_byte():
+    """SHA-256 of serialize_circuit over every family, n = 2-13 and seeds
+    0-2, recorded while every generator still built each gate afresh.
+    Sharing the angle-free gates keeps it; any change to a generated
+    circuit moves it."""
+    digest = hashlib.sha256()
+    for n in range(2, 14):
+        for seed in range(3):
+            for c in (
+                gen_random_bp(n, seed),
+                gen_swap_network(n, 1.0, "rzz", seed),
+                gen_swap_network(n, 3.0, "rbs", seed),
+                gen_swap_network(n, 1.0, "rzz", seed, decompose_swap=False),
+                gen_swap_network(n, 2.0, "rbs", seed, decompose_swap=False),
+                gen_rbs_pyramid(n, seed=seed),
+                gen_option_payoff(n, seed=seed),
+                build_family_circuit("unary_loader", n, seed),
+            ):
+                digest.update(serialize_circuit(c).encode())
+    assert digest.hexdigest() == "3fb562bc8597052ab4342cf10610da51c0db4ae0e1a7b511c16e41603610c44c"
 
 
 @pytest.mark.parametrize("seed", [0.5, 1.0, "a", True])

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import radix2_fwht
+
 from blockpec.errors import InvalidArgument, SingularChannel, UnsupportedKind
 from blockpec.noise import (
     NoiseSpec,
@@ -267,6 +269,39 @@ def test_fwht_acts_on_the_last_axis_row_by_row():
         fwht(np.ones((2, 3)))
     with pytest.raises(InvalidArgument):
         fwht(np.float64(1.0))
+
+
+@pytest.mark.parametrize("rank", range(19))
+def test_fwht_is_bitwise_the_radix2_transform(rank):
+    rng = np.random.default_rng(rank)
+    size = 1 << rank
+    # Magnitudes from 1e-300 to 1e300, so sums round and cancel; the last
+    # row starts with up to four entries of 1e308, so its sums overflow and
+    # inf - inf gives NaN.
+    rows = rng.normal(size=(3, size)) * 10.0 ** rng.integers(-300, 301, size=(3, size))
+    rows[2, :4] = 1e308
+    before = rows.tobytes()
+    for v in (rows[0], rows, rows[:, None, :]):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert fwht(v).tobytes() == radix2_fwht(v).tobytes()
+    assert rows.tobytes() == before
+
+
+@pytest.mark.parametrize("size", [3, 6, 12, 1000])
+def test_fwht_refuses_a_length_that_is_not_a_power_of_two(size):
+    with pytest.raises(InvalidArgument, match=f"length {size} is not a power of two"):
+        fwht(np.ones(size))
+    with pytest.raises(InvalidArgument, match=f"length {size} is not a power of two"):
+        fwht(np.ones((2, size)))
+
+
+def test_z_mixture_equality_compares_values():
+    a = ZMixtureChannel((0,), [0.5, 0.5])
+    assert a == ZMixtureChannel((0,), np.array([0.5, 0.5]))
+    assert a != ZMixtureChannel((0,), [0.25, 0.75])
+    assert a != ZMixtureChannel((1,), [0.5, 0.5])
+    assert a != ZMixtureChannel.identity((0, 1))
+    assert a != "a mixture" and a != (0,) and a is not None
 
 
 @pytest.mark.parametrize("spec", ["x", 0.1, {"kind": "uncorrelated", "p": 0.1}])

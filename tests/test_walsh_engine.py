@@ -19,6 +19,9 @@ from oracles import (
 )
 
 from blockpec.blocks import (
+    _block_span,
+    _GateTables,
+    _walsh_engine,
     block_coefficients,
     gamma_blk,
     gamma_std,
@@ -163,6 +166,38 @@ def test_strict_subset_block_is_exact_outside_span():
     touched = (1 << 1) | (1 << 3) | (1 << 4)
     outside = np.arange(64) & ~touched != 0
     assert np.all(coeffs[outside] == 0.0)
+
+
+@pytest.mark.parametrize(
+    "c, full_rank",
+    [
+        (gen_rbs_pyramid(6, seed=3).with_noise(P_LOW), True),
+        (gen_swap_network(5, 2.0, "rbs", seed=1).with_noise(NoiseSpec("correlated", 0.05)), True),
+        # Z_1 pushed through the CNOT is Z_0 Z_1: rank 1 on two qubits, then
+        # rank 2 on three.
+        (Circuit(2, (GateOp("RZ", (1,), 0.3), GateOp("CNOT", (0, 1))), (P_LOW, None)), False),
+        (Circuit(3, (GateOp("RZZ", (1, 2), 0.3), GateOp("CNOT", (0, 1))),
+                 (NoiseSpec("correlated", 0.2), None)), False),
+    ],
+)
+def test_full_rank_blocks_equal_the_layout_route(c, full_rank):
+    """A full-rank block's row and eigenvalues are used as they are: its
+    layout is the identity. A rank-deficient block is scattered through it."""
+    tables = _GateTables()
+    local, support, _ = _block_span(c, 0, len(c.ops), tables)
+    m = len(support)
+    assert (len(local) == m) is full_rank
+    index, pattern = tables.layout(local, m)
+    identity = np.arange(1 << m)
+    assert (np.array_equal(index, identity) and np.array_equal(pattern, identity)) is full_rank
+    ((mix, lam),) = _walsh_engine(c, [(0, len(c.ops))], _GateTables())
+    assert mix.support == support and lam.shape == (1 << m,)
+    outside = np.setdiff1d(identity, index)
+    assert np.all(mix.coeffs[outside] == 0.0) and np.all(mix.coeffs[index] != 0.0)
+    # Each local pattern reads its span element's eigenvalue.
+    assert np.allclose(lam, fwht(mix.coeffs), rtol=1e-12, atol=0.0)
+    assert mix.coeffs.tobytes() == block_coefficients(c).coeffs.tobytes()
+    assert_matches_oracle(c)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
